@@ -13,11 +13,11 @@ Usage: python scripts/adjudicate_bias_formulas.py [seed]
 import sys
 
 from expoverlap.measures import COEFFICIENTS
-from expoverlap.simulation import DEFAULT_SEED, SimConfig, theoretical_vs_empirical
+from expoverlap.simulation import DEFAULT_SEED, SimConfig, run_study, theoretical_vs_empirical
 
 
 def run(label: str, cfg: SimConfig) -> None:
-    report = theoretical_vs_empirical(cfg)
+    report = theoretical_vs_empirical(run_study(cfg))
     print(f"=== {label} ===")
     print(f"{'coeff':<10} {'formula':>8} {'oracle':>8} {'tie':>5}")
     for key in COEFFICIENTS:

@@ -19,7 +19,7 @@ def main() -> int:
     seed = int(sys.argv[1]) if len(sys.argv) > 1 else DEFAULT_SEED
     cfg = SimConfig(seed=seed)
     print(f"running {cfg.replications} replications on "
-          f"{cfg.r_values} x {cfg.sample_sizes} (seed {seed}) ...")
+          f"{cfg.r_values} x {tuple(n for n, _ in cfg.size_pairs)} (seed {seed}) ...")
     table = run_study(cfg)
     comparison = compare_to_reference(table)
 

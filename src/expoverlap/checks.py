@@ -6,10 +6,6 @@ r = 1, vanishing limits, reciprocity, piecewise monotonicity), F quantile
 accuracy, and the sampling distribution laws of the mean and ratio
 estimators.  Each suite returns a SuiteResult; the CLI turns failures into
 exit code 5.
-
-``perturb_rho`` injects an offset into the closed-form rho before the oracle
-comparison.  It exists so tests can confirm the oracle suite actually has
-teeth; leave it at zero otherwise.
 """
 
 from __future__ import annotations
@@ -69,9 +65,7 @@ def suite_closed_form_anchors() -> SuiteResult:
     return _result("closed_form_anchors", n, failures)
 
 
-def suite_oracle_equivalence(perturb_rho: float = 0.0,
-                             n_points: int = 50,
-                             tol: float = 1e-6) -> SuiteResult:
+def suite_oracle_equivalence(n_points: int = 50, tol: float = 1e-6) -> SuiteResult:
     """Closed forms vs quadrature oracle on a log-spaced ratio grid."""
     failures = []
     grid = np.geomspace(0.05, 20.0, n_points)
@@ -81,8 +75,6 @@ def suite_oracle_equivalence(perturb_rho: float = 0.0,
         for key in COEFFICIENTS:
             n += 1
             closed = MEASURES[key](float(r))
-            if key == "rho":
-                closed += perturb_rho
             oracle = measures.overlap_by_quadrature(params, key)
             if abs(closed - oracle) > tol:
                 failures.append(
@@ -190,10 +182,10 @@ def suite_distribution_laws(seed: int, replications: int = 100_000,
     return _result("distribution_laws", n, failures)
 
 
-def run_all(seed: int, perturb_rho: float = 0.0) -> list[SuiteResult]:
+def run_all(seed: int) -> list[SuiteResult]:
     return [
         suite_closed_form_anchors(),
-        suite_oracle_equivalence(perturb_rho=perturb_rho),
+        suite_oracle_equivalence(),
         suite_structural_properties(),
         suite_quantile_accuracy(seed),
         suite_distribution_laws(seed),

@@ -13,7 +13,8 @@ Sample files carry one observation per line; blank lines and lines starting
 with '#' are ignored.
 
 Exit codes: 0 ok, 2 unreadable input or usage error, 3 insufficient data or
-bad configuration, 4 reproduction gate failure, 5 self-check failure.
+bad configuration, 4 reproduction gate failure, 5 self-check failure,
+6 numerical method did not converge.
 """
 
 from __future__ import annotations
@@ -30,8 +31,9 @@ import click
 import numpy as np
 
 from . import checks, confidence, estimation, measures, simulation
-from .estimation import InsufficientSampleSize, TwoSample
-from .measures import COEFFICIENTS
+from .distributions import NonConvergence
+from .estimation import EmptySample, InsufficientSampleSize, NonPositiveObservation, TwoSample
+from .measures import COEFFICIENTS, QuadratureNonConvergence
 from .simulation import DEFAULT_SEED, ConfigError, GridMismatch, SimConfig
 
 EXIT_OK = 0
@@ -39,18 +41,33 @@ EXIT_INPUT = 2
 EXIT_INSUFFICIENT = 3
 EXIT_REPRODUCTION = 4
 EXIT_SELF_CHECK = 5
+EXIT_NONCONVERGENCE = 6
 
 
 class SampleFileError(Exception):
     """A sample file could not be parsed; the message names the line."""
 
 
+#: Exit code of each error a command may raise; see ``_Main.invoke``.
+EXIT_CODES = {
+    SampleFileError: EXIT_INPUT,
+    EmptySample: EXIT_INPUT,
+    NonPositiveObservation: EXIT_INPUT,
+    InsufficientSampleSize: EXIT_INSUFFICIENT,
+    ConfigError: EXIT_INSUFFICIENT,
+    NonConvergence: EXIT_NONCONVERGENCE,
+    QuadratureNonConvergence: EXIT_NONCONVERGENCE,
+}
+
+
 def read_sample_file(path: str) -> np.ndarray:
     values = []
     try:
-        lines = Path(path).read_text().splitlines()
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
     except OSError as exc:
         raise SampleFileError(f"{path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise SampleFileError(f"{path}: not UTF-8 text (byte {exc.start})") from exc
     for lineno, raw in enumerate(lines, start=1):
         text = raw.strip()
         if not text or text.startswith("#"):
@@ -96,7 +113,17 @@ def _full(value) -> str:
     return repr(float(value))
 
 
-@click.group(context_settings={"help_option_names": ["-h", "--help"]})
+class _Main(click.Group):
+    def invoke(self, ctx: click.Context):
+        """Run the command; an error listed in EXIT_CODES ends it with its code."""
+        try:
+            return super().invoke(ctx)
+        except tuple(EXIT_CODES) as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(next(code for cls, code in EXIT_CODES.items() if isinstance(exc, cls)))
+
+
+@click.group(cls=_Main, context_settings={"help_option_names": ["-h", "--help"]})
 @click.option("--format", "fmt", type=click.Choice(["table", "csv", "json"]),
               default="table", show_default=True, help="Output format.")
 @click.option("--output", default="-", show_default=True,
@@ -134,19 +161,7 @@ def _render_estimate_table(report: estimation.EstimateReport) -> str:
 @click.pass_obj
 def estimate(out: OutputSpec, file1: str, file2: str) -> None:
     """Estimate the ratio and the four overlap coefficients from data files."""
-    try:
-        sample = _load_two_samples(file1, file2)
-        report = estimation.estimate_report(sample)
-    except SampleFileError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_INPUT)
-    except (estimation.EmptySample, estimation.NonPositiveObservation) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_INPUT)
-    except InsufficientSampleSize as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_INSUFFICIENT)
-
+    report = estimation.estimate_report(_load_two_samples(file1, file2))
     if out.format == "json":
         out.write(json.dumps(report.to_dict(), indent=2))
     elif out.format == "csv":
@@ -178,13 +193,7 @@ def ci(out: OutputSpec, file1: str, file2: str, level: float) -> None:
     if not (0.0 < level < 1.0):
         raise click.BadParameter("level must lie strictly between 0 and 1",
                                  param_hint="--level")
-    try:
-        sample = _load_two_samples(file1, file2)
-        estimates = estimation.ratio_estimates(sample)
-    except SampleFileError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_INPUT)
-
+    estimates = estimation.ratio_estimates(_load_two_samples(file1, file2))
     r_int = confidence.ratio_ci(estimates, level=level)
     ovl_ints = confidence.all_ovl_cis(r_int)
 
@@ -336,7 +345,7 @@ def simulate(out: OutputSpec, r_text: str | None, n_text: str | None,
         if r_text is not None:
             kwargs["r_values"] = _parse_float_list(r_text)
         if n_text is not None:
-            kwargs["sample_sizes"] = _parse_int_list(n_text)
+            kwargs["size_pairs"] = tuple((n, n) for n in _parse_int_list(n_text))
     except ValueError as exc:
         raise click.BadParameter(str(exc), param_hint="--r/--n")
     if reps is not None:
@@ -347,11 +356,7 @@ def simulate(out: OutputSpec, r_text: str | None, n_text: str | None,
         kwargs["theta2"] = theta2
     kwargs["lambda_uses_corrected_ratio"] = lambda_corrected
 
-    try:
-        cfg = SimConfig(**kwargs)
-    except ConfigError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_INSUFFICIENT)
+    cfg = SimConfig(**kwargs)
 
     out_dir = Path("simulation_output" if out.destination == "-" else out.destination)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -361,7 +366,7 @@ def simulate(out: OutputSpec, r_text: str | None, n_text: str | None,
         comparison = simulation.compare_to_reference(table)
     except GridMismatch:
         comparison = None
-    theory = simulation.theoretical_vs_empirical(cfg, table=table)
+    theory = simulation.theoretical_vs_empirical(table)
 
     simulation.write_cells_csv(table, comparison, out_dir / "cells.csv")
     simulation.write_figure_csvs(table, out_dir)
@@ -388,13 +393,12 @@ def simulate(out: OutputSpec, r_text: str | None, n_text: str | None,
 
 
 @main.command()
-@click.option("--seed", type=int, default=DEFAULT_SEED, show_default=True)
-@click.option("--perturb-rho", type=float, default=0.0, hidden=True,
-              help="Test hook: offset the closed-form rho in the oracle suite.")
+@click.option("--seed", type=click.IntRange(0, 2 ** 64 - 1), default=DEFAULT_SEED,
+              show_default=True)
 @click.pass_obj
-def check(out: OutputSpec, seed: int, perturb_rho: float) -> None:
+def check(out: OutputSpec, seed: int) -> None:
     """Run the self-check suites; exit 5 if any suite fails."""
-    results = checks.run_all(seed=seed, perturb_rho=perturb_rho)
+    results = checks.run_all(seed=seed)
     if out.format == "json":
         out.write(json.dumps({"seed": seed,
                               "passed": all(r.passed for r in results),

@@ -31,7 +31,6 @@ from .measures import (
     kl_lambda,
     matusita_rho,
     morisita_lambda,
-    overlap_quartet,
     weitzman_delta,
     _log_ratio_over_gap,
 )
@@ -109,25 +108,32 @@ def variance_factor(n1: int, n2: int) -> float:
     return (n1 + n2 - 1.0) / (n1 * (n2 - 2.0))
 
 
+def corrected_ratio(r_hat, n2: int):
+    """R* = R_hat * (n2 - 1) / n2, the unbiased ratio estimate; accepts a
+    float or an ndarray of R_hat values."""
+    return r_hat * (n2 - 1.0) / n2
+
+
 def ratio_estimates(sample: TwoSample) -> RatioEstimates:
     th1, th2 = mle_thetas(sample)
     n1, n2 = sample.n1, sample.n2
     r_hat = th1 / th2
-    r_star = r_hat * (n2 - 1.0) / n2
+    r_star = corrected_ratio(r_hat, n2)
     var = r_star ** 2 * variance_factor(n1, n2) if n2 > 2 else None
     return RatioEstimates(theta1_hat=th1, theta2_hat=th2, n1=n1, n2=n2,
                           r_hat=r_hat, r_hat_star=r_star, var_r_hat_star=var)
 
 
-def ovl_point_estimates(estimates: RatioEstimates,
+def ovl_point_estimates(r_hat, r_star,
                         lambda_uses_corrected_ratio: bool = False) -> OverlapQuartet:
-    """Plug-in overlap estimates.
+    """Plug-in overlap estimates from R_hat and R* = ``corrected_ratio(R_hat, n2)``.
 
-    delta, rho and lambda evaluate at r_hat_star; the KL overlap evaluates at
-    the uncorrected r_hat unless ``lambda_uses_corrected_ratio`` is set.
+    delta, rho and lambda evaluate at r_star; the KL overlap evaluates at the
+    uncorrected r_hat unless ``lambda_uses_corrected_ratio`` is set.  Both
+    ratios may be floats or equal-shape ndarrays (one entry per replication);
+    the quartet's fields then have the same type.
     """
-    r_star = estimates.r_hat_star
-    r_for_kl = r_star if lambda_uses_corrected_ratio else estimates.r_hat
+    r_for_kl = r_star if lambda_uses_corrected_ratio else r_hat
     return OverlapQuartet(
         delta=weitzman_delta(r_star),
         rho=matusita_rho(r_star),
@@ -269,7 +275,7 @@ def estimate_report(sample: TwoSample,
         raise InsufficientSampleSize(
             f"need n2 > 2 for variance and bias approximations, got n2={sample.n2}")
     est = ratio_estimates(sample)
-    points = ovl_point_estimates(est, lambda_uses_corrected_ratio)
+    points = ovl_point_estimates(est.r_hat, est.r_hat_star, lambda_uses_corrected_ratio)
     r_star = est.r_hat_star
     return EstimateReport(
         n1=sample.n1,
@@ -280,8 +286,3 @@ def estimate_report(sample: TwoSample,
         biases=taylor_biases(r_star, sample.n1, sample.n2),
         lambda_uses_corrected_ratio=lambda_uses_corrected_ratio,
     )
-
-
-def true_quartet(r: float) -> OverlapQuartet:
-    """Closed-form coefficient values at a known ratio (simulation ground truth)."""
-    return overlap_quartet(r)

@@ -29,13 +29,6 @@ import numpy as np
 #: Canonical coefficient keys, used for dict results, CSV columns and CLI output.
 COEFFICIENTS = ("delta", "rho", "lambda", "kl_lambda")
 
-COEFFICIENT_LABELS = {
-    "delta": "Weitzman delta",
-    "rho": "Matusita rho",
-    "lambda": "Morisita lambda",
-    "kl_lambda": "KL overlap Lambda",
-}
-
 
 class QuadratureNonConvergence(RuntimeError):
     """Adaptive quadrature failed to reach the error target within budget."""
@@ -304,9 +297,12 @@ def overlap_by_quadrature(params: ExponentialParams, which: str,
         raise ValueError(f"unknown coefficient {which!r}, expected one of {COEFFICIENTS}")
     r1, r2 = params.rates()
     x_max = 50.0 / min(r1, r2)
+    # min(f1, f2) has a kink where the densities cross; the error estimate of
+    # a panel straddling it is far too small, so the crossing is a boundary
+    kinks = (math.log(r1 / r2) / (r1 - r2),) if which == "delta" and r1 != r2 else ()
     seeds = sorted({s for s in (
         1.0 / max(r1, r2), 1.0 / min(r1, r2),
-        5.0 / min(r1, r2), 20.0 / min(r1, r2),
+        5.0 / min(r1, r2), 20.0 / min(r1, r2), *kinks,
     ) if 0.0 < s < x_max})
 
     def f1(x):

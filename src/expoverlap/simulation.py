@@ -62,26 +62,22 @@ class SimConfig:
     """Study design: grid, replication count, seed and sampling anchors.
 
     theta2 anchors the scale (theta1 = r * theta2); the coefficients and the
-    estimator laws depend only on the ratio.  With ``equal_sample_sizes``
-    (the default) every cell uses n1 = n2 = n; otherwise ``unequal_pairs``
-    supplies explicit (n1, n2) pairs in place of ``sample_sizes``.
+    estimator laws depend only on the ratio.  ``size_pairs`` lists the
+    (n1, n2) sample sizes of the grid; the default pairs n1 = n2 = n over
+    the reference sizes.
     """
 
     r_values: tuple[float, ...] = REFERENCE_R_VALUES
-    sample_sizes: tuple[int, ...] = REFERENCE_SAMPLE_SIZES
+    size_pairs: tuple[tuple[int, int], ...] = tuple((n, n) for n in REFERENCE_SAMPLE_SIZES)
     replications: int = 1000
     seed: int = DEFAULT_SEED
     theta2: float = 1.0
-    equal_sample_sizes: bool = True
-    unequal_pairs: tuple[tuple[int, int], ...] | None = None
     lambda_uses_corrected_ratio: bool = False
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "r_values", tuple(float(r) for r in self.r_values))
-        object.__setattr__(self, "sample_sizes", tuple(int(n) for n in self.sample_sizes))
-        if self.unequal_pairs is not None:
-            object.__setattr__(self, "unequal_pairs",
-                               tuple((int(a), int(b)) for a, b in self.unequal_pairs))
+        object.__setattr__(self, "size_pairs",
+                           tuple((int(n1), int(n2)) for n1, n2 in self.size_pairs))
         if self.replications < 2:
             raise ConfigError(f"replications must be >= 2, got {self.replications}")
         if not self.r_values or any(not (math.isfinite(r) and r > 0) for r in self.r_values):
@@ -90,31 +86,23 @@ class SimConfig:
             raise ConfigError(f"theta2 must be strictly positive, got {self.theta2}")
         if not (isinstance(self.seed, int) and 0 <= self.seed < 2 ** 64):
             raise ConfigError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
-        if self.equal_sample_sizes:
-            if not self.sample_sizes or any(n < 3 for n in self.sample_sizes):
-                raise ConfigError("sample_sizes must be nonempty with every n >= 3")
-        else:
-            if not self.unequal_pairs:
-                raise ConfigError("unequal_pairs is required when equal_sample_sizes is false")
-            if any(n1 < 1 or n2 < 3 for n1, n2 in self.unequal_pairs):
-                raise ConfigError("unequal pairs need n1 >= 1 and n2 >= 3")
+        if not self.size_pairs or any(n1 < 1 or n2 < 3 for n1, n2 in self.size_pairs):
+            raise ConfigError("size_pairs must be nonempty with every n1 >= 1 and n2 >= 3")
 
     def cells(self) -> list[tuple[float, int, int]]:
-        if self.equal_sample_sizes:
-            pairs = [(n, n) for n in self.sample_sizes]
-        else:
-            pairs = list(self.unequal_pairs)
-        return [(r, n1, n2) for r in self.r_values for n1, n2 in pairs]
+        return [(r, n1, n2) for r in self.r_values for n1, n2 in self.size_pairs]
 
     def to_dict(self) -> dict:
+        """Config echo; an all-equal grid is written as its list of sizes."""
+        equal = all(n1 == n2 for n1, n2 in self.size_pairs)
         return {
             "r_values": list(self.r_values),
-            "sample_sizes": list(self.sample_sizes),
+            "sample_sizes": [n1 for n1, _ in self.size_pairs] if equal else None,
             "replications": self.replications,
             "seed": self.seed,
             "theta2": self.theta2,
-            "equal_sample_sizes": self.equal_sample_sizes,
-            "unequal_pairs": [list(p) for p in self.unequal_pairs] if self.unequal_pairs else None,
+            "equal_sample_sizes": equal,
+            "unequal_pairs": None if equal else [list(p) for p in self.size_pairs],
             "lambda_uses_corrected_ratio": self.lambda_uses_corrected_ratio,
         }
 
@@ -151,10 +139,6 @@ class SimCell:
     n1: int
     n2: int
     stats: dict[str, CellStats]
-
-    @property
-    def n(self) -> int:
-        return self.n1
 
 
 @dataclass(frozen=True)
@@ -221,15 +205,9 @@ def run_cell(cfg: SimConfig, r: float, n: int, n2: int | None = None) -> SimCell
 
     m1, m2 = _draw_means(cfg, r, n1, n2)
     r_hat = m1 / m2
-    r_star = r_hat * (n2 - 1.0) / n2
-    r_for_kl = r_star if cfg.lambda_uses_corrected_ratio else r_hat
-
-    estimates = {
-        "delta": measures.weitzman_delta(r_star),
-        "rho": measures.matusita_rho(r_star),
-        "lambda": measures.morisita_lambda(r_star),
-        "kl_lambda": measures.kl_lambda(r_for_kl),
-    }
+    estimates = estimation.ovl_point_estimates(
+        r_hat, estimation.corrected_ratio(r_hat, n2),
+        cfg.lambda_uses_corrected_ratio).as_dict()
     truth = measures.overlap_quartet(r).as_dict()
 
     stats: dict[str, CellStats] = {}
@@ -310,14 +288,12 @@ class ComparisonReport:
 
 
 def _is_reference_grid(cfg: SimConfig) -> bool:
-    if not cfg.equal_sample_sizes:
-        return False
     if len(cfg.r_values) != len(REFERENCE_R_VALUES):
         return False
     if any(not math.isclose(a, b, rel_tol=1e-12)
            for a, b in zip(sorted(cfg.r_values), REFERENCE_R_VALUES)):
         return False
-    return tuple(sorted(cfg.sample_sizes)) == REFERENCE_SAMPLE_SIZES
+    return sorted(cfg.size_pairs) == [(n, n) for n in REFERENCE_SAMPLE_SIZES]
 
 
 def compare_to_reference(table: SimulationTable) -> ComparisonReport:
@@ -382,17 +358,14 @@ class TheoryComparisonReport:
                 "closer_counts": {k: dict(v) for k, v in self.closer_counts.items()}}
 
 
-def theoretical_vs_empirical(cfg: SimConfig,
-                             table: SimulationTable | None = None) -> TheoryComparisonReport:
+def theoretical_vs_empirical(table: SimulationTable) -> TheoryComparisonReport:
     """Tabulate approximation formulas against empirical moments per cell.
 
     For each coefficient the report records the first-order variance formula,
     the published bias formula, the finite-difference Taylor bias, and which
     bias version is closer to the empirical bias ("formula", "oracle" or
-    "tie").  Pass a precomputed table to avoid re-running the study.
+    "tie").
     """
-    if table is None:
-        table = run_study(cfg)
     entries: list[dict] = []
     closer_counts: dict[str, dict[str, int]] = {
         key: {"formula": 0, "oracle": 0, "tie": 0} for key in COEFFICIENTS}

@@ -12,6 +12,7 @@ flipped KL signs at R = 0.2 and 0.8 (kl_lambda at (0.8, 20): table -0.20,
 exact -0.0662).  ``simulate`` still grades against the table, see the README.
 """
 
+import hashlib
 import math
 import subprocess
 import sys
@@ -258,7 +259,7 @@ def test_vectorized_coverage_logic_matches_ovl_ci():
 
 def test_criterion_9_bias_adjudication_report(default_table):
     failures = []
-    report = theoretical_vs_empirical(default_table.config, table=default_table)
+    report = theoretical_vs_empirical(default_table)
     if len(report.entries) != 60:
         failures.append(f"expected 60 entries, got {len(report.entries)}")
     required = {"r", "n1", "n2", "coefficient", "empirical_bias",
@@ -280,6 +281,18 @@ def test_criterion_9_bias_adjudication_report(default_table):
 
 # 10 --------------------------------------------------------------------------
 
+#: sha256 of the default ``simulate`` outputs.  Byte identity rests on numpy's
+#: SIMD ``log``, so these hold for one numpy build and set of CPU features;
+#: a change that alters output bytes on purpose re-pins them.
+GOLDEN_DIGESTS = {
+    "cells.csv": "9a501cc4338f83bad2217746207fdc9c11428392abc599d3694efed884b7f9f7",
+    "bias_vs_r.csv": "fe0f70a589c963910ee0d489b7286a4007e667a1cf5f095c0883d5da53d010f2",
+    "std_vs_r.csv": "5558dd812f2a23ae25602abfbdbdad75772292b82a80aa0da7b4dec050c43ce7",
+    "mse_vs_r.csv": "35a0fd65e94112607eaa1744dfea7b7725b96ac2fdb72de145b49523be080cc5",
+    "summary.json": "0474be641b41ae6235cddd0886736c7d9e0748ec12f86a242e7b8b9ca5d02f13",
+}
+
+
 def test_criterion_10_byte_identical_runs(tmp_path):
     failures = []
     dirs = (tmp_path / "run_a", tmp_path / "run_b")
@@ -291,10 +304,11 @@ def test_criterion_10_byte_identical_runs(tmp_path):
         codes.append(proc.returncode)
     if codes[0] != codes[1]:
         failures.append(f"exit codes differ: {codes}")
-    for name in ("cells.csv", "bias_vs_r.csv", "std_vs_r.csv",
-                 "mse_vs_r.csv", "summary.json"):
+    for name, digest in GOLDEN_DIGESTS.items():
         a = (dirs[0] / name).read_bytes()
         b = (dirs[1] / name).read_bytes()
         if a != b:
             failures.append(f"{name} differs between identical-seed runs")
+        if hashlib.sha256(a).hexdigest() != digest:
+            failures.append(f"{name} differs from its pinned digest")
     _verdict(10, "seeded determinism", failures)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from expoverlap import measures
 from expoverlap.cli import main
 from expoverlap.distributions import SeededStream, sample_exponential
 from expoverlap.estimation import TwoSample, estimate_report
@@ -74,6 +75,14 @@ def test_estimate_missing_file(runner, constant_files):
     assert res.exit_code == 2
 
 
+def test_estimate_rejects_non_utf8_file(runner, tmp_path, constant_files):
+    binary = tmp_path / "bin.txt"
+    binary.write_bytes(b"\xff\xfe1.0\n")
+    res = runner.invoke(main, ["estimate", constant_files[0], str(binary)])
+    assert res.exit_code == 2
+    assert "bin.txt" in res.output
+
+
 def test_estimate_insufficient_sample(runner, tmp_path, constant_files):
     tiny = _write_sample(tmp_path / "tiny.txt", [1.0, 2.0])
     res = runner.invoke(main, ["estimate", constant_files[0], tiny])
@@ -117,6 +126,15 @@ def test_ci_f_table_anchor(runner, tmp_path):
 def test_ci_rejects_bad_level(runner, constant_files):
     res = runner.invoke(main, ["ci", *constant_files, "--level", "1.5"])
     assert res.exit_code == 2
+
+
+def test_ci_nonconvergence_exit_code(runner, tmp_path):
+    # F(2, 2) quantile at 1e-14 lies outside the bisection bracket
+    f1 = _write_sample(tmp_path / "a.txt", [1.0])
+    f2 = _write_sample(tmp_path / "b.txt", [2.0])
+    res = runner.invoke(main, ["ci", f1, f2, "--level", "0.99999999999998"])
+    assert res.exit_code == 6
+    assert "quantile outside bracket" in res.output
 
 
 # --- curves ----------------------------------------------------------------------
@@ -255,9 +273,14 @@ def test_check_passes_clean_build(runner):
     assert len(payload["suites"]) == 5
 
 
-def test_check_catches_injected_perturbation(runner):
-    res = runner.invoke(main, ["--format", "json", "check",
-                               "--perturb-rho", "1e-4"])
+def test_check_rejects_negative_seed(runner):
+    assert runner.invoke(main, ["check", "--seed", "-1"]).exit_code == 2
+
+
+def test_check_catches_injected_perturbation(runner, monkeypatch):
+    rho = measures.MEASURES["rho"]
+    monkeypatch.setitem(measures.MEASURES, "rho", lambda r: rho(r) + 1e-4)
+    res = runner.invoke(main, ["--format", "json", "check"])
     assert res.exit_code == 5
     payload = json.loads(res.output)
     verdicts = {s["name"]: s["passed"] for s in payload["suites"]}

@@ -8,7 +8,6 @@ from expoverlap.estimation import (
     EmptySample,
     InsufficientSampleSize,
     NonPositiveObservation,
-    RatioEstimates,
     TwoSample,
     estimate_report,
     mle_thetas,
@@ -20,12 +19,6 @@ from expoverlap.estimation import (
     variance_factor,
 )
 from expoverlap.measures import COEFFICIENTS, MEASURES, overlap_quartet
-
-
-def _re(r_hat, r_star, n1=20, n2=20):
-    return RatioEstimates(theta1_hat=r_hat, theta2_hat=1.0, n1=n1, n2=n2,
-                          r_hat=r_hat, r_hat_star=r_star,
-                          var_r_hat_star=r_star ** 2 * variance_factor(n1, n2))
 
 
 # --- samples and MLEs ---------------------------------------------------------
@@ -86,12 +79,12 @@ def test_corrected_ratio_is_unbiased():
 # --- point estimates ------------------------------------------------------------
 
 def test_point_estimates_at_unity():
-    points = ovl_point_estimates(_re(1.0, 1.0))
+    points = ovl_point_estimates(1.0, 1.0)
     assert points.as_tuple() == (1.0, 1.0, 1.0, 1.0)
 
 
 def test_point_estimates_table_values():
-    points = ovl_point_estimates(_re(0.5, 0.5))
+    points = ovl_point_estimates(0.5, 0.5)
     assert round(points.delta, 3) == 0.750
     assert round(points.rho, 3) == 0.943
     assert round(points.lambda_, 3) == 0.889
@@ -99,9 +92,8 @@ def test_point_estimates_table_values():
 
 
 def test_kl_estimate_uses_uncorrected_ratio_by_default():
-    est = _re(r_hat=0.5, r_star=0.475)
-    default = ovl_point_estimates(est)
-    switched = ovl_point_estimates(est, lambda_uses_corrected_ratio=True)
+    default = ovl_point_estimates(0.5, 0.475)
+    switched = ovl_point_estimates(0.5, 0.475, lambda_uses_corrected_ratio=True)
     assert default.kl_lambda == MEASURES["kl_lambda"](0.5)
     assert switched.kl_lambda == MEASURES["kl_lambda"](0.475)
     assert default.delta == switched.delta  # the other three always use r_star

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from expoverlap.measures import (
@@ -165,6 +165,8 @@ def test_integrate_adaptive_known_integral():
 
 @settings(max_examples=25, deadline=None)
 @given(r=st.floats(min_value=0.05, max_value=20.0))
+@example(r=17.25)
+@example(r=0.058)
 def test_oracle_equivalence_property(r):
     params = ExponentialParams(r, 1.0)
     assert abs(weitzman_delta(r) - overlap_by_quadrature(params, "delta")) <= 1e-6

@@ -23,7 +23,7 @@ from expoverlap.simulation import (
     _cell_stream_id,
 )
 
-SMALL = SimConfig(r_values=(0.5,), sample_sizes=(10, 25), replications=200, seed=9)
+SMALL = SimConfig(r_values=(0.5,), size_pairs=((10, 10), (25, 25)), replications=200, seed=9)
 
 
 @pytest.fixture(scope="module")
@@ -37,18 +37,17 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         SimConfig(replications=1)
     with pytest.raises(ConfigError):
-        SimConfig(sample_sizes=(2,))
+        SimConfig(size_pairs=((2, 2),))
     with pytest.raises(ConfigError):
         SimConfig(r_values=(0.0,))
     with pytest.raises(ConfigError):
         SimConfig(theta2=-1.0)
     with pytest.raises(ConfigError):
-        SimConfig(equal_sample_sizes=False)
+        SimConfig(size_pairs=())
 
 
 def test_config_unequal_pairs():
-    cfg = SimConfig(r_values=(0.5,), equal_sample_sizes=False,
-                    unequal_pairs=((10, 15),), replications=50)
+    cfg = SimConfig(r_values=(0.5,), size_pairs=((10, 15),), replications=50)
     assert cfg.cells() == [(0.5, 10, 15)]
     cell = run_cell(cfg, 0.5, 10, 15)
     assert (cell.n1, cell.n2) == (10, 15)
@@ -68,7 +67,7 @@ def test_study_is_deterministic(small_table):
 
 
 def test_seed_changes_results(small_table):
-    other = run_study(SimConfig(r_values=(0.5,), sample_sizes=(10, 25),
+    other = run_study(SimConfig(r_values=(0.5,), size_pairs=((10, 10), (25, 25)),
                                 replications=200, seed=10))
     assert other != small_table
 
@@ -151,7 +150,7 @@ def test_compare_requires_reference_grid(small_table):
     with pytest.raises(GridMismatch):
         compare_to_reference(small_table)
     with pytest.raises(GridMismatch):
-        compare_to_reference(run_study(SimConfig(r_values=(0.3,), sample_sizes=(20,),
+        compare_to_reference(run_study(SimConfig(r_values=(0.3,), size_pairs=((20, 20),),
                                                  replications=10)))
 
 
@@ -208,7 +207,7 @@ def test_n500_biases_small(default_table):
 # --- theory vs empirical report ---------------------------------------------------------
 
 def test_theory_report_schema(default_table):
-    report = theoretical_vs_empirical(default_table.config, table=default_table)
+    report = theoretical_vs_empirical(default_table)
     assert len(report.entries) == 60
     required = {"r", "n1", "n2", "coefficient", "empirical_bias",
                 "empirical_variance", "mc_se", "variance_formula",
@@ -223,7 +222,7 @@ def test_theory_report_schema(default_table):
 
 
 def test_theory_variances_track_empirical(default_table):
-    report = theoretical_vs_empirical(default_table.config, table=default_table)
+    report = theoretical_vs_empirical(default_table)
     by_key = {(e["r"], e["n1"], e["coefficient"]): e for e in report.entries}
     assert by_key[(0.5, 200, "rho")]["variance_rel_err"] <= 0.15
     assert by_key[(0.2, 500, "lambda")]["variance_rel_err"] <= 0.10
@@ -262,7 +261,7 @@ def test_figure_csvs(tmp_path, small_table):
 
 
 def test_summary_json(tmp_path, small_table):
-    theory = theoretical_vs_empirical(small_table.config, table=small_table)
+    theory = theoretical_vs_empirical(small_table)
     path = write_summary_json(small_table, None, theory, tmp_path / "summary.json")
     payload = json.loads(path.read_text())
     assert payload["config"]["replications"] == SMALL.replications
