@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from expoverlap import measures
+from expoverlap import confidence, measures
 from expoverlap.cli import main
-from expoverlap.distributions import SeededStream, sample_exponential
+from expoverlap.distributions import NonConvergence, SeededStream, sample_exponential
 from expoverlap.estimation import TwoSample, estimate_report
 from expoverlap.measures import COEFFICIENTS
 
@@ -128,13 +128,29 @@ def test_ci_rejects_bad_level(runner, constant_files):
     assert res.exit_code == 2
 
 
-def test_ci_nonconvergence_exit_code(runner, tmp_path):
-    # F(2, 2) quantile at 1e-14 lies outside the bisection bracket
+def test_ci_nonconvergence_exit_code(runner, tmp_path, monkeypatch):
+    def no_convergence(d1, d2, prob):
+        raise NonConvergence("F quantile did not converge")
+
+    monkeypatch.setattr(confidence, "f_quantile", no_convergence)
     f1 = _write_sample(tmp_path / "a.txt", [1.0])
     f2 = _write_sample(tmp_path / "b.txt", [2.0])
-    res = runner.invoke(main, ["ci", f1, f2, "--level", "0.99999999999998"])
+    res = runner.invoke(main, ["ci", f1, f2])
     assert res.exit_code == 6
-    assert "quantile outside bracket" in res.output
+    assert "did not converge" in res.output
+
+
+def test_ci_extreme_level_on_one_line_files(runner, tmp_path):
+    # F(2, 2) has CDF x / (1 + x), so its p-quantile is p / (1 - p)
+    f1 = _write_sample(tmp_path / "a.txt", [1.0])
+    f2 = _write_sample(tmp_path / "b.txt", [2.0])
+    res = runner.invoke(main, ["--format", "json", "ci", f1, f2,
+                               "--level", "0.99999999999998"])
+    assert res.exit_code == 0
+    ratio = json.loads(res.output)["ratio"]
+    alpha = 1.0 - 0.99999999999998
+    for key, p in (("upper", alpha / 2.0), ("lower", 1.0 - alpha / 2.0)):
+        assert math.isclose(ratio[key], 0.5 / (p / (1.0 - p)), rel_tol=1e-9)
 
 
 # --- curves ----------------------------------------------------------------------

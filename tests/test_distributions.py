@@ -1,11 +1,13 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special, stats
 
+from expoverlap import checks, distributions
 from expoverlap.distributions import (
     SeededStream,
     erlang_cdf,
@@ -17,6 +19,7 @@ from expoverlap.distributions import (
     regularized_incomplete_beta,
     sample_exponential,
 )
+from expoverlap.simulation import DEFAULT_SEED
 
 
 # --- seeded streams and the exponential sampler -----------------------------
@@ -102,6 +105,12 @@ def test_beta_symmetry_at_half(a):
     assert abs(regularized_incomplete_beta(a, a, 0.5) - 0.5) <= 1e-13
 
 
+@pytest.mark.parametrize("a", [1e6, 1e7])
+def test_beta_at_the_mode_of_large_parameters(a):
+    # the fraction needs more than 500 terms here (544 at a = 1e6)
+    assert abs(regularized_incomplete_beta(a, a, 0.5) - 0.5) <= 1e-13
+
+
 def test_beta_polynomial_oracle():
     # Beta(2,3) CDF expands to 6x^2 - 8x^3 + 3x^4
     x = 0.36
@@ -133,6 +142,36 @@ def test_beta_reflection(a, b, x):
     total = (regularized_incomplete_beta(a, b, x)
              + regularized_incomplete_beta(b, a, 1.0 - x))
     assert abs(total - 1.0) <= 5e-12
+
+
+def _mpmath_beta_cdf(a, b, x):
+    """I_x(a, b) by mpmath quadrature of the beta density at 30 digits, split near the mode."""
+    with mpmath.workdps(30):
+        a, b, x = mpmath.mpf(a), mpmath.mpf(b), mpmath.mpf(x)
+        ln_beta = mpmath.log(mpmath.beta(a, b))
+
+        def density(t):
+            return mpmath.exp((a - 1) * mpmath.log(t) + (b - 1) * mpmath.log1p(-t) - ln_beta)
+
+        mode = (a - 1) / (a + b - 2)
+        sd = mpmath.sqrt(a * b / (a + b) ** 3)
+        if x <= mode:
+            cuts = [c for c in (mode - 40 * sd, mode - 10 * sd, mode - 3 * sd) if 0 < c < x]
+            return mpmath.quad(density, [0, *cuts, x])
+        cuts = [c for c in (mode + 3 * sd, mode + 10 * sd, mode + 40 * sd) if x < c < 1]
+        return 1 - mpmath.quad(density, [x, *cuts, 1])
+
+
+@pytest.mark.parametrize("a", [1e3, 1e4, 1e5, 1e6])
+@pytest.mark.parametrize("b", [1e3, 1e4, 1e5, 1e6])
+def test_beta_large_parameters_against_mpmath(a, b):
+    # lgamma(a) + lgamma(b) - lgamma(a+b) cancels here; the Stirling-form
+    # front factor and the unrounded distance to the mode must not
+    mode, sd = a / (a + b), math.sqrt(a * b / (a + b) ** 3)
+    for x in (0.999 * mode, 1.001 * mode, mode - sd, mode + sd):
+        if x < 1.0:
+            exact = _mpmath_beta_cdf(a, b, x)
+            assert abs(regularized_incomplete_beta(a, b, x) - float(exact)) <= 1e-12
 
 
 def test_beta_vectorized():
@@ -206,6 +245,54 @@ def test_f_round_trip_property(d1, d2, prob):
     assert abs(f_cdf(d1, d2, x) - prob) <= 1e-10
 
 
+@pytest.mark.parametrize("d", [1, 2])
+def test_f_quantile_relative_accuracy_in_the_tail(d):
+    assert math.isclose(f_quantile(d, d, 1e-14), stats.f.ppf(1e-14, d, d), rel_tol=1e-9)
+    upper = 1.0 - 1e-14
+    assert math.isclose(f_quantile(d, d, upper), stats.f.isf(1.0 - upper, d, d), rel_tol=1e-9)
+
+
+@pytest.mark.parametrize("prob", [0.025, 0.975])
+def test_f_quantile_million_observations(prob):
+    # df of two samples of 10^6 observations; a fixed 500-term cap failed here
+    assert math.isclose(f_quantile(2_000_000, 2_000_000, prob),
+                        stats.f.ppf(prob, 2_000_000, 2_000_000), rel_tol=1e-9)
+
+
+_log_df = st.floats(min_value=0.0, max_value=math.log(2e6)).map(lambda t: round(math.exp(t)))
+_tail = st.floats(min_value=math.log(1e-14), max_value=math.log(0.5)).map(math.exp)
+
+
+@settings(max_examples=200, deadline=None)
+@given(d1=_log_df, d2=_log_df, tail=_tail, upper=st.booleans())
+def test_f_quantile_against_scipy_property(d1, d2, tail, upper):
+    prob = 1.0 - tail if upper else tail
+    assert math.isclose(f_quantile(d1, d2, prob), stats.f.ppf(prob, d1, d2), rel_tol=1e-9)
+
+
+def test_f_quantile_cdf_evaluations(monkeypatch):
+    # f_cdf calls per quantile over the round-trip cases of the quantile suite
+    calls, per_quantile = [0], []
+    f_cdf_inner, f_quantile_inner = distributions.f_cdf, checks.f_quantile
+
+    def counted_cdf(*args):
+        calls[0] += 1
+        return f_cdf_inner(*args)
+
+    def counted_quantile(*args):
+        calls[0] = 0
+        q = f_quantile_inner(*args)
+        per_quantile.append(calls[0])
+        return q
+
+    monkeypatch.setattr(distributions, "f_cdf", counted_cdf)
+    monkeypatch.setattr(checks, "f_quantile", counted_quantile)
+    assert checks.suite_quantile_accuracy(DEFAULT_SEED).passed
+    round_trip = per_quantile[:100]
+    assert sum(round_trip) / len(round_trip) <= 5
+    assert max(round_trip) <= 12
+
+
 # --- Erlang CDF and KS helpers --------------------------------------------------
 
 def test_erlang_against_scipy():
@@ -213,6 +300,15 @@ def test_erlang_against_scipy():
     mine = erlang_cdf(20, 0.05, xs)
     ref = stats.gamma.cdf(xs, a=20, scale=0.05)
     assert np.max(np.abs(mine - ref)) <= 1e-10
+
+
+@pytest.mark.parametrize("shape", [1, 1000, 10_000])
+def test_erlang_shapes_against_scipy(shape):
+    # shape 20 is test_erlang_against_scipy; from shape ~745 on, exp(-y)
+    # underflows near the mean unless the terms are built in log space
+    xs = np.linspace(0.0, 3.0, 301)
+    ref = stats.gamma.cdf(xs, a=shape, scale=1.0 / shape)
+    assert np.max(np.abs(erlang_cdf(shape, 1.0 / shape, xs) - ref)) <= 1e-10
 
 
 def test_erlang_validation():
