@@ -39,7 +39,6 @@ from .measures import (
     COEFFICIENTS,
     ExponentialParams,
     MEASURES,
-    OverlapQuartet,
     Parameterization,
     QuadratureNonConvergence,
     kl_lambda,
@@ -47,7 +46,6 @@ from .measures import (
     morisita_lambda,
     overlap_by_quadrature,
     overlap_quartet,
-    quartet_by_quadrature,
     symmetric_kl_exponential,
     weitzman_delta,
 )

@@ -43,10 +43,6 @@ class SuiteResult:
     n_checks: int
     failures: list[str] = field(default_factory=list)
 
-    def to_dict(self) -> dict:
-        return {"name": self.name, "passed": self.passed,
-                "n_checks": self.n_checks, "failures": list(self.failures)}
-
 
 def _result(name: str, n_checks: int, failures: list[str]) -> SuiteResult:
     return SuiteResult(name=name, passed=not failures, n_checks=n_checks,
@@ -57,7 +53,7 @@ def suite_closed_form_anchors() -> SuiteResult:
     failures = []
     n = 0
     for r, expected in ANCHOR_QUARTETS.items():
-        got = measures.overlap_quartet(r).as_dict()
+        got = measures.overlap_quartet(r)
         for key, ref in expected.items():
             n += 1
             if round(got[key], 3) != ref:

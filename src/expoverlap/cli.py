@@ -24,7 +24,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import click
@@ -141,16 +141,15 @@ def _load_two_samples(file1: str, file2: str) -> TwoSample:
 
 def _render_estimate_table(report: estimation.EstimateReport) -> str:
     lines = [
-        f"n1 = {report.n1}, n2 = {report.n2}",
+        f"n1 = {report.ratio.n1}, n2 = {report.ratio.n2}",
         f"theta1_hat = {report.ratio.theta1_hat:.6g}   theta2_hat = {report.ratio.theta2_hat:.6g}",
         f"r_hat = {report.ratio.r_hat:.6g}   r_hat_star = {report.ratio.r_hat_star:.6g}"
         f"   var(r_hat_star) = {report.ratio.var_r_hat_star:.6g}",
         "",
         f"{'coefficient':<20}{'estimate':>10}{'approx var':>14}{'approx bias':>14}",
     ]
-    points = report.points.as_dict()
     for key in COEFFICIENTS:
-        lines.append(f"{key:<20}{points[key]:>10.3f}"
+        lines.append(f"{key:<20}{report.points[key]:>10.3f}"
                      f"{report.variances[key]:>14.6f}{report.biases[key]:>14.6f}")
     return "\n".join(lines)
 
@@ -165,12 +164,11 @@ def estimate(out: OutputSpec, file1: str, file2: str) -> None:
     if out.format == "json":
         out.write(json.dumps(report.to_dict(), indent=2))
     elif out.format == "csv":
-        points = report.points.as_dict()
-        rows = [(key, _full(points[key]), _full(report.variances[key]),
+        rows = [(key, _full(report.points[key]), _full(report.variances[key]),
                  _full(report.biases[key])) for key in COEFFICIENTS]
         prefix = _csv_text(
             ("quantity", "value"),
-            [("n1", report.n1), ("n2", report.n2),
+            [("n1", report.ratio.n1), ("n2", report.ratio.n2),
              ("theta1_hat", _full(report.ratio.theta1_hat)),
              ("theta2_hat", _full(report.ratio.theta2_hat)),
              ("r_hat", _full(report.ratio.r_hat)),
@@ -291,7 +289,7 @@ def curves(out: OutputSpec, r_min: float, r_max: float, points: int,
         raise click.BadParameter("need at least 2 points", param_hint="--points")
 
     rs = np.linspace(r_min, r_max, points)
-    series = {key: measures.MEASURES[key](rs) for key in COEFFICIENTS}
+    series = measures.overlap_quartet(rs)
 
     if svg_path:
         Path(svg_path).write_text(_curves_svg(rs, series))
@@ -301,8 +299,7 @@ def curves(out: OutputSpec, r_min: float, r_max: float, points: int,
         payload.update({key: [float(v) for v in series[key]] for key in COEFFICIENTS})
         out.write(json.dumps(payload, indent=2))
     elif out.format == "csv":
-        rows = [tuple(_full(v) for v in (r, series["delta"][i], series["rho"][i],
-                                         series["lambda"][i], series["kl_lambda"][i]))
+        rows = [(_full(r), *(_full(series[key][i]) for key in COEFFICIENTS))
                 for i, r in enumerate(rs)]
         out.write(_csv_text(("r",) + COEFFICIENTS, rows))
     else:
@@ -402,7 +399,7 @@ def check(out: OutputSpec, seed: int) -> None:
     if out.format == "json":
         out.write(json.dumps({"seed": seed,
                               "passed": all(r.passed for r in results),
-                              "suites": [r.to_dict() for r in results]}, indent=2))
+                              "suites": [asdict(r) for r in results]}, indent=2))
     else:
         for result in results:
             status = "PASS" if result.passed else "FAIL"

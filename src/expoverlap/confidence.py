@@ -1,9 +1,12 @@
 """Confidence intervals for the ratio and the overlap coefficients.
 
 R_hat / R follows F(2 n1, 2 n2) exactly, which pivots into an exact interval
-for R:
+for R.  With q(d1, d2; p) the p-quantile of F(d1, d2):
 
-    L = r_hat / F_quantile(1 - alpha/2),   U = r_hat / F_quantile(alpha/2).
+    L = r_hat * q(2 n2, 2 n1; alpha/2),   U = r_hat / q(2 n1, 2 n2; alpha/2).
+
+L uses 1 / F(d1, d2) ~ F(d2, d1), so the upper tail is never formed as
+1 - alpha/2, which loses accuracy and rounds to 1 for alpha/2 < 2^-54.
 
 Each overlap coefficient is increasing in R on (0, 1] and decreasing on
 [1, inf), so the transformed interval is (OVL(L), OVL(U)) when U <= 1, the
@@ -22,7 +25,7 @@ from .distributions import f_quantile
 from .estimation import RatioEstimates
 from .measures import COEFFICIENTS, MEASURES
 
-#: Valid CI targets: the ratio itself plus the four coefficients.
+#: Target name of the ratio interval; coefficient intervals carry their key.
 RATIO_TARGET = "ratio"
 
 
@@ -64,7 +67,7 @@ def ratio_ci(estimates: RatioEstimates, level: float = 0.95) -> ConfidenceInterv
         raise ValueError(f"level must lie in (0, 1), got {level!r}")
     alpha = 1.0 - level
     d1, d2 = 2 * estimates.n1, 2 * estimates.n2
-    lower = estimates.r_hat / f_quantile(d1, d2, 1.0 - alpha / 2.0)
+    lower = estimates.r_hat * f_quantile(d2, d1, alpha / 2.0)
     upper = estimates.r_hat / f_quantile(d1, d2, alpha / 2.0)
     return ConfidenceInterval(lower=lower, upper=upper, level=level,
                               target=RATIO_TARGET,

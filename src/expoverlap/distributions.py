@@ -7,7 +7,10 @@ of the exponential sample mean, and small Kolmogorov-Smirnov helpers used by
 the distribution-law self checks.
 
 Everything here is deterministic: a (seed, stream_id) pair always produces
-the same variates, on any platform, under any execution order.
+the same variates under any execution order.  The Philox uniforms are the
+same on every platform; ``sample_exponential`` maps them through numpy's
+SIMD ``log``, so its variates are bit-identical on the same numpy build and
+CPU features.
 """
 
 from __future__ import annotations
@@ -184,14 +187,9 @@ def f_cdf(d1: int, d2: int, x):
     """CDF of the F(d1, d2) distribution: I_y(d1/2, d2/2), y = d1 x/(d1 x + d2)."""
     _check_df(d1, d2)
     arr = np.asarray(x, dtype=float)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
     if np.any(arr < 0):
         raise ValueError("x must be nonnegative")
-    y = d1 * arr / (d1 * arr + d2)
-    out = regularized_incomplete_beta(d1 / 2.0, d2 / 2.0, y)
-    out = np.atleast_1d(out)
-    return float(out[0]) if scalar else out
+    return regularized_incomplete_beta(d1 / 2.0, d2 / 2.0, d1 * arr / (d1 * arr + d2))
 
 
 def f_pdf(d1: int, d2: int, x: float) -> float:

@@ -24,16 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .measures import (
-    COEFFICIENTS,
-    MEASURES,
-    OverlapQuartet,
-    kl_lambda,
-    matusita_rho,
-    morisita_lambda,
-    weitzman_delta,
-    _log_ratio_over_gap,
-)
+from .measures import COEFFICIENTS, MEASURES, _log_ratio_over_gap
 
 
 class EmptySample(ValueError):
@@ -125,21 +116,18 @@ def ratio_estimates(sample: TwoSample) -> RatioEstimates:
 
 
 def ovl_point_estimates(r_hat, r_star,
-                        lambda_uses_corrected_ratio: bool = False) -> OverlapQuartet:
-    """Plug-in overlap estimates from R_hat and R* = ``corrected_ratio(R_hat, n2)``.
+                        lambda_uses_corrected_ratio: bool = False) -> dict:
+    """Plug-in overlap estimates from R_hat and R* = ``corrected_ratio(R_hat, n2)``,
+    keyed in COEFFICIENTS order.
 
     delta, rho and lambda evaluate at r_star; the KL overlap evaluates at the
     uncorrected r_hat unless ``lambda_uses_corrected_ratio`` is set.  Both
     ratios may be floats or equal-shape ndarrays (one entry per replication);
-    the quartet's fields then have the same type.
+    the values then have the same type.
     """
     r_for_kl = r_star if lambda_uses_corrected_ratio else r_hat
-    return OverlapQuartet(
-        delta=weitzman_delta(r_star),
-        rho=matusita_rho(r_star),
-        lambda_=morisita_lambda(r_star),
-        kl_lambda=kl_lambda(r_for_kl),
-    )
+    return {key: MEASURES[key](r_for_kl if key == "kl_lambda" else r_star)
+            for key in COEFFICIENTS}
 
 
 def taylor_variances(r: float, n1: int, n2: int) -> dict[str, float]:
@@ -240,24 +228,22 @@ class EstimateReport:
     for R, and the same rule is applied to all four coefficients).
     """
 
-    n1: int
-    n2: int
     ratio: RatioEstimates
-    points: OverlapQuartet
+    points: dict[str, float]
     variances: dict[str, float] = field(repr=False)
     biases: dict[str, float] = field(repr=False)
     lambda_uses_corrected_ratio: bool = False
 
     def to_dict(self) -> dict:
         return {
-            "n1": self.n1,
-            "n2": self.n2,
+            "n1": self.ratio.n1,
+            "n2": self.ratio.n2,
             "theta1_hat": self.ratio.theta1_hat,
             "theta2_hat": self.ratio.theta2_hat,
             "r_hat": self.ratio.r_hat,
             "r_hat_star": self.ratio.r_hat_star,
             "var_r_hat_star": self.ratio.var_r_hat_star,
-            "points": self.points.as_dict(),
+            "points": dict(self.points),
             "variances": dict(self.variances),
             "biases": dict(self.biases),
             "lambda_uses_corrected_ratio": self.lambda_uses_corrected_ratio,
@@ -278,8 +264,6 @@ def estimate_report(sample: TwoSample,
     points = ovl_point_estimates(est.r_hat, est.r_hat_star, lambda_uses_corrected_ratio)
     r_star = est.r_hat_star
     return EstimateReport(
-        n1=sample.n1,
-        n2=sample.n2,
         ratio=est,
         points=points,
         variances=taylor_variances(r_star, sample.n1, sample.n2),

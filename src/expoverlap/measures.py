@@ -70,27 +70,6 @@ class ExponentialParams:
         return 1.0 / self.theta1, 1.0 / self.theta2
 
 
-@dataclass(frozen=True)
-class OverlapQuartet:
-    """The four overlap coefficients evaluated at one parameter ratio."""
-
-    delta: float
-    rho: float
-    lambda_: float
-    kl_lambda: float
-
-    def as_dict(self) -> dict[str, float]:
-        return {
-            "delta": self.delta,
-            "rho": self.rho,
-            "lambda": self.lambda_,
-            "kl_lambda": self.kl_lambda,
-        }
-
-    def as_tuple(self) -> tuple[float, float, float, float]:
-        return (self.delta, self.rho, self.lambda_, self.kl_lambda)
-
-
 def _as_ratio(r):
     """Validate a ratio argument; returns (ndarray, was_scalar)."""
     arr = np.asarray(r, dtype=float)
@@ -164,14 +143,10 @@ MEASURES = {
 }
 
 
-def overlap_quartet(r) -> OverlapQuartet:
-    """All four coefficients at the same ratio."""
-    return OverlapQuartet(
-        delta=weitzman_delta(r),
-        rho=matusita_rho(r),
-        lambda_=morisita_lambda(r),
-        kl_lambda=kl_lambda(r),
-    )
+def overlap_quartet(r) -> dict:
+    """All four coefficients at the same ratio, keyed in COEFFICIENTS order;
+    values are floats for a float ratio, ndarrays for an ndarray."""
+    return {key: MEASURES[key](r) for key in COEFFICIENTS}
 
 
 def symmetric_kl_exponential(params: ExponentialParams) -> float:
@@ -331,13 +306,3 @@ def overlap_by_quadrature(params: ExponentialParams, which: str,
     j_tol = tol * (1.0 + r1 / r2 + r2 / r1)
     j = integrate(lambda x: (f1(x) - f2(x)) * (log_ratio - (r1 - r2) * x), j_tol)
     return 1.0 / (1.0 + max(j, 0.0))
-
-
-def quartet_by_quadrature(params: ExponentialParams, tol: float = 1e-10) -> OverlapQuartet:
-    """All four coefficients from the quadrature oracle."""
-    return OverlapQuartet(
-        delta=overlap_by_quadrature(params, "delta", tol=tol),
-        rho=overlap_by_quadrature(params, "rho", tol=tol),
-        lambda_=overlap_by_quadrature(params, "lambda", tol=tol),
-        kl_lambda=overlap_by_quadrature(params, "kl_lambda", tol=tol),
-    )

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 REFERENCE_R_VALUES = (0.2, 0.5, 0.8)
 REFERENCE_SAMPLE_SIZES = (20, 50, 100, 200, 500)
-REFERENCE_REPLICATIONS = 1000
 
 #: (bias, mse, ratio_bias_over_sigma) per coefficient per (r, n) cell.
 REFERENCE_CELLS: dict[tuple[float, int], dict[str, tuple[float, float, float]]] = {

@@ -24,7 +24,7 @@ import csv
 import json
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -120,18 +120,6 @@ class CellStats:
     ratio_bias_sigma: float
     mc_se: float
 
-    def to_dict(self) -> dict:
-        return {
-            "true_value": self.true_value,
-            "mean_estimate": self.mean_estimate,
-            "bias": self.bias,
-            "variance": self.variance,
-            "std": self.std,
-            "mse": self.mse,
-            "ratio_bias_sigma": self.ratio_bias_sigma,
-            "mc_se": self.mc_se,
-        }
-
 
 @dataclass(frozen=True)
 class SimCell:
@@ -207,8 +195,8 @@ def run_cell(cfg: SimConfig, r: float, n: int, n2: int | None = None) -> SimCell
     r_hat = m1 / m2
     estimates = estimation.ovl_point_estimates(
         r_hat, estimation.corrected_ratio(r_hat, n2),
-        cfg.lambda_uses_corrected_ratio).as_dict()
-    truth = measures.overlap_quartet(r).as_dict()
+        cfg.lambda_uses_corrected_ratio)
+    truth = measures.overlap_quartet(r)
 
     stats: dict[str, CellStats] = {}
     for key in COEFFICIENTS:
@@ -256,15 +244,6 @@ class ComparisonEntry:
     passed: bool
     excluded: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "r": self.r, "n": self.n, "coefficient": self.coefficient,
-            "metric": self.metric, "empirical": self.empirical,
-            "reference": self.reference, "abs_diff": self.abs_diff,
-            "tolerance": self.tolerance, "passed": self.passed,
-            "excluded": self.excluded,
-        }
-
 
 @dataclass(frozen=True)
 class ComparisonReport:
@@ -283,7 +262,7 @@ class ComparisonReport:
             "pass_fraction": self.pass_fraction,
             "overall_pass": self.overall_pass,
             "required_fraction": PASS_FRACTION_REQUIRED,
-            "entries": [e.to_dict() for e in self.entries],
+            "entries": [asdict(e) for e in self.entries],
         }
 
 
@@ -479,7 +458,7 @@ def write_summary_json(table: SimulationTable, comparison: ComparisonReport | No
         "config": table.config.to_dict(),
         "cells": [
             {"r": cell.r, "n1": cell.n1, "n2": cell.n2,
-             "stats": {k: v.to_dict() for k, v in cell.stats.items()}}
+             "stats": {k: asdict(v) for k, v in cell.stats.items()}}
             for cell in table.cells
         ],
         "reference_comparison": comparison.to_dict() if comparison else None,

@@ -55,7 +55,7 @@ def test_criterion_1_closed_form_anchors():
     }
     failures = []
     for r, ref in expected.items():
-        got = tuple(round(v, 3) for v in overlap_quartet(r).as_tuple())
+        got = tuple(round(v, 3) for v in overlap_quartet(r).values())
         if got != ref:
             failures.append(f"quartet({r}) = {got}, expected {ref}")
     _verdict(1, "closed-form anchors", failures)
@@ -229,7 +229,7 @@ def test_criterion_8_confidence_interval_coverage():
     hi_q = f_quantile(2 * n, 2 * n, 0.975)
     lo_q = f_quantile(2 * n, 2 * n, 0.025)
     lo, hi = r_hat / hi_q, r_hat / lo_q
-    truth = overlap_quartet(true_r).as_dict()
+    truth = overlap_quartet(true_r)
     for key in COEFFICIENTS:
         fn = MEASURES[key]
         f_lo, f_hi = fn(lo), fn(hi)

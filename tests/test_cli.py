@@ -50,6 +50,7 @@ def test_estimate_matches_library(runner, tmp_path):
     assert res.exit_code == 0
     payload = json.loads(res.output)
     expected = estimate_report(TwoSample(x1, x2)).to_dict()
+    assert list(payload["points"]) == list(COEFFICIENTS)
     assert payload["points"] == expected["points"]
     assert payload["variances"] == expected["variances"]
 
@@ -140,17 +141,18 @@ def test_ci_nonconvergence_exit_code(runner, tmp_path, monkeypatch):
     assert "did not converge" in res.output
 
 
-def test_ci_extreme_level_on_one_line_files(runner, tmp_path):
-    # F(2, 2) has CDF x / (1 + x), so its p-quantile is p / (1 - p)
+@pytest.mark.parametrize("level", ["0.99999999999998", "0.9999999999999999"])
+def test_ci_extreme_level_on_one_line_files(runner, tmp_path, level):
+    # F(2, 2) has CDF x / (1 + x), so its p-quantile is p / (1 - p); with
+    # r_hat = 0.5 and tail a = alpha/2 the limits are 0.5 a/(1-a), 0.5 (1-a)/a
     f1 = _write_sample(tmp_path / "a.txt", [1.0])
     f2 = _write_sample(tmp_path / "b.txt", [2.0])
-    res = runner.invoke(main, ["--format", "json", "ci", f1, f2,
-                               "--level", "0.99999999999998"])
+    res = runner.invoke(main, ["--format", "json", "ci", f1, f2, "--level", level])
     assert res.exit_code == 0
     ratio = json.loads(res.output)["ratio"]
-    alpha = 1.0 - 0.99999999999998
-    for key, p in (("upper", alpha / 2.0), ("lower", 1.0 - alpha / 2.0)):
-        assert math.isclose(ratio[key], 0.5 / (p / (1.0 - p)), rel_tol=1e-9)
+    a = (1.0 - float(level)) / 2.0
+    assert math.isclose(ratio["lower"], 0.5 * a / (1.0 - a), rel_tol=1e-9)
+    assert math.isclose(ratio["upper"], 0.5 * (1.0 - a) / a, rel_tol=1e-9)
 
 
 # --- curves ----------------------------------------------------------------------
@@ -287,6 +289,8 @@ def test_check_passes_clean_build(runner):
     payload = json.loads(res.output)
     assert payload["passed"]
     assert len(payload["suites"]) == 5
+    for suite in payload["suites"]:
+        assert list(suite) == ["name", "passed", "n_checks", "failures"]
 
 
 def test_check_rejects_negative_seed(runner):

@@ -80,23 +80,23 @@ def test_corrected_ratio_is_unbiased():
 
 def test_point_estimates_at_unity():
     points = ovl_point_estimates(1.0, 1.0)
-    assert points.as_tuple() == (1.0, 1.0, 1.0, 1.0)
+    assert tuple(points.values()) == (1.0, 1.0, 1.0, 1.0)
 
 
 def test_point_estimates_table_values():
     points = ovl_point_estimates(0.5, 0.5)
-    assert round(points.delta, 3) == 0.750
-    assert round(points.rho, 3) == 0.943
-    assert round(points.lambda_, 3) == 0.889
-    assert round(points.kl_lambda, 3) == 0.667
+    assert round(points["delta"], 3) == 0.750
+    assert round(points["rho"], 3) == 0.943
+    assert round(points["lambda"], 3) == 0.889
+    assert round(points["kl_lambda"], 3) == 0.667
 
 
 def test_kl_estimate_uses_uncorrected_ratio_by_default():
     default = ovl_point_estimates(0.5, 0.475)
     switched = ovl_point_estimates(0.5, 0.475, lambda_uses_corrected_ratio=True)
-    assert default.kl_lambda == MEASURES["kl_lambda"](0.5)
-    assert switched.kl_lambda == MEASURES["kl_lambda"](0.475)
-    assert default.delta == switched.delta  # the other three always use r_star
+    assert default["kl_lambda"] == MEASURES["kl_lambda"](0.5)
+    assert switched["kl_lambda"] == MEASURES["kl_lambda"](0.475)
+    assert default["delta"] == switched["delta"]  # the other three always use r_star
 
 
 # --- variance approximations -----------------------------------------------------
@@ -220,10 +220,10 @@ def test_estimate_report_constant_samples():
     assert report.ratio.r_hat == 1.0
     assert report.ratio.r_hat_star == 0.95
     # delta/rho/lambda evaluate at 0.95, the KL overlap at r_hat = 1
-    assert abs(report.points.delta - 0.9811323198732347) <= 1e-12
-    assert abs(report.points.rho - 0.9996712148522013) <= 1e-12
-    assert abs(report.points.lambda_ - 0.9993425378040762) <= 1e-12
-    assert report.points.kl_lambda == 1.0
+    assert abs(report.points["delta"] - 0.9811323198732347) <= 1e-12
+    assert abs(report.points["rho"] - 0.9996712148522013) <= 1e-12
+    assert abs(report.points["lambda"] - 0.9993425378040762) <= 1e-12
+    assert report.points["kl_lambda"] == 1.0
     assert report.variances == taylor_variances(0.95, 20, 20)
     assert report.biases == taylor_biases(0.95, 20, 20)
 
@@ -241,7 +241,7 @@ def test_estimate_report_deterministic():
 
 def test_point_estimates_concentrate_on_truth():
     # median absolute error must shrink as n grows
-    truth = overlap_quartet(0.5).as_dict()
+    truth = overlap_quartet(0.5)
     reps = 301
     med_errors = {key: [] for key in COEFFICIENTS}
     for size_idx, n in enumerate((100, 1000, 10000)):
@@ -297,7 +297,7 @@ def test_delta_estimate_tracks_truth_at_large_n():
     m2 = sample_exponential(SeededStream(91, 1), 5.0, reps * n).reshape(reps, n).mean(axis=1)
     r_star = (m1 / m2) * (n - 1) / n
     delta_hat = MEASURES["delta"](r_star)
-    truth = overlap_quartet(0.2).delta
+    truth = overlap_quartet(0.2)["delta"]
     frac = float(np.mean(np.abs(delta_hat - truth) <= 0.04))
     assert frac >= 0.95
     assert abs(delta_hat.mean() - truth) <= 3 * delta_hat.std() / math.sqrt(reps)

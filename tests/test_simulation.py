@@ -101,7 +101,7 @@ def test_mse_identity(small_table):
 
 def test_cell_stats_fields(small_table):
     cell = small_table.cell(0.5, 10)
-    truth = overlap_quartet(0.5).as_dict()
+    truth = overlap_quartet(0.5)
     for key in COEFFICIENTS:
         s = cell.stats[key]
         assert s.true_value == truth[key]
@@ -118,8 +118,8 @@ def test_study_reciprocity():
     seed = 13
     bias = {key: 0.0 for key in COEFFICIENTS}
     bias_swapped = {key: 0.0 for key in COEFFICIENTS}
-    truth = overlap_quartet(r).as_dict()
-    truth_recip = overlap_quartet(1.0 / r).as_dict()
+    truth = overlap_quartet(r)
+    truth_recip = overlap_quartet(1.0 / r)
     for key in COEFFICIENTS:
         assert abs(truth[key] - truth_recip[key]) <= 1e-12
     se_sq = {key: 0.0 for key in COEFFICIENTS}
