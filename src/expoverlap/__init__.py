@@ -37,16 +37,13 @@ from .estimation import (
 )
 from .measures import (
     COEFFICIENTS,
-    ExponentialParams,
     MEASURES,
-    Parameterization,
     QuadratureNonConvergence,
     kl_lambda,
     matusita_rho,
     morisita_lambda,
     overlap_by_quadrature,
     overlap_quartet,
-    symmetric_kl_exponential,
     weitzman_delta,
 )
 from .simulation import (

@@ -36,7 +36,6 @@ from .estimation import EmptySample, InsufficientSampleSize, NonPositiveObservat
 from .measures import COEFFICIENTS, QuadratureNonConvergence
 from .simulation import DEFAULT_SEED, ConfigError, GridMismatch, SimConfig
 
-EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_INSUFFICIENT = 3
 EXIT_REPRODUCTION = 4
@@ -106,10 +105,6 @@ def _csv_text(header, rows) -> str:
 
 
 def _full(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float) and math.isnan(value):
-        return "nan"
     return repr(float(value))
 
 

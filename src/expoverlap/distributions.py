@@ -20,8 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-_UINT64_MASK = 0xFFFFFFFFFFFFFFFF
-
 
 class NonConvergence(RuntimeError):
     """An iterative evaluation exhausted its budget before converging."""
@@ -151,7 +149,7 @@ def regularized_incomplete_beta(a: float, b: float, x):
     arr = np.asarray(x, dtype=float)
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)
-    if np.any((arr < 0) | (arr > 1)):
+    if not np.all((arr >= 0) & (arr <= 1)):
         raise ValueError("x must lie in [0, 1]")
 
     out = np.empty_like(arr)
@@ -184,12 +182,18 @@ def _check_df(d1: int, d2: int) -> None:
 
 
 def f_cdf(d1: int, d2: int, x):
-    """CDF of the F(d1, d2) distribution: I_y(d1/2, d2/2), y = d1 x/(d1 x + d2)."""
+    """CDF of the F(d1, d2) distribution: I_y(d1/2, d2/2), y = d1 x/(d1 x + d2),
+    and y = 1 at x = inf."""
     _check_df(d1, d2)
     arr = np.asarray(x, dtype=float)
-    if np.any(arr < 0):
+    if not np.all(arr >= 0):
         raise ValueError("x must be nonnegative")
-    return regularized_incomplete_beta(d1 / 2.0, d2 / 2.0, d1 * arr / (d1 * arr + d2))
+    # in place, to allocate no more than the plain quotient d1 x / (d1 x + d2)
+    y = np.asarray(d1 * arr)
+    inf = np.isinf(y)
+    np.divide(y, y + d2, out=y, where=~inf)
+    y[inf] = 1.0
+    return regularized_incomplete_beta(d1 / 2.0, d2 / 2.0, y)
 
 
 def f_pdf(d1: int, d2: int, x: float) -> float:
@@ -255,12 +259,11 @@ def f_quantile(d1: int, d2: int, prob: float) -> float:
     return 1.0 / x if swap else x
 
 
-def reciprocal_f_identity_check(d1: int, d2: int, prob: float,
-                                rel_tol: float = 1e-9) -> bool:
-    """Verify F_q(d1, d2; p) == 1 / F_q(d2, d1; 1-p) to relative tolerance."""
+def reciprocal_f_identity_check(d1: int, d2: int, prob: float) -> bool:
+    """Verify F_q(d1, d2; p) == 1 / F_q(d2, d1; 1-p) to relative tolerance 1e-9."""
     q = f_quantile(d1, d2, prob)
     q_swapped = f_quantile(d2, d1, 1.0 - prob)
-    return abs(q * q_swapped - 1.0) <= rel_tol * max(1.0, abs(q * q_swapped))
+    return abs(q * q_swapped - 1.0) <= 1e-9 * max(1.0, abs(q * q_swapped))
 
 
 # ---------------------------------------------------------------------------

@@ -232,7 +232,6 @@ class EstimateReport:
     points: dict[str, float]
     variances: dict[str, float] = field(repr=False)
     biases: dict[str, float] = field(repr=False)
-    lambda_uses_corrected_ratio: bool = False
 
     def to_dict(self) -> dict:
         return {
@@ -246,13 +245,13 @@ class EstimateReport:
             "points": dict(self.points),
             "variances": dict(self.variances),
             "biases": dict(self.biases),
-            "lambda_uses_corrected_ratio": self.lambda_uses_corrected_ratio,
+            "lambda_uses_corrected_ratio": False,
         }
 
 
-def estimate_report(sample: TwoSample,
-                    lambda_uses_corrected_ratio: bool = False) -> EstimateReport:
-    """Point estimates with plug-in variance and bias approximations.
+def estimate_report(sample: TwoSample) -> EstimateReport:
+    """Point estimates with plug-in variance and bias approximations; the KL
+    overlap is evaluated at the uncorrected r_hat.
 
     Raises InsufficientSampleSize when n2 <= 2 (the variance formula divides
     by n2 - 2).
@@ -261,12 +260,10 @@ def estimate_report(sample: TwoSample,
         raise InsufficientSampleSize(
             f"need n2 > 2 for variance and bias approximations, got n2={sample.n2}")
     est = ratio_estimates(sample)
-    points = ovl_point_estimates(est.r_hat, est.r_hat_star, lambda_uses_corrected_ratio)
     r_star = est.r_hat_star
     return EstimateReport(
         ratio=est,
-        points=points,
+        points=ovl_point_estimates(est.r_hat, r_star),
         variances=taylor_variances(r_star, sample.n1, sample.n2),
         biases=taylor_biases(r_star, sample.n1, sample.n2),
-        lambda_uses_corrected_ratio=lambda_uses_corrected_ratio,
     )

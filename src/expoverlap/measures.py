@@ -12,17 +12,16 @@ Every coefficient lies in [0, 1], equals 1 exactly at r = 1, vanishes in the
 limits r -> 0 and r -> inf, satisfies OVL(r) = OVL(1/r), and is strictly
 increasing on (0, 1), strictly decreasing on (1, inf).
 
-``overlap_by_quadrature`` evaluates the defining integrals numerically over
-the actual densities with adaptive Gauss-Kronrod quadrature.  It never calls
-the closed forms, so it serves as an independent oracle for them.
+``overlap_by_quadrature(rate1, rate2, which)`` evaluates the defining
+integrals numerically over the two densities rate * exp(-rate * x), with
+adaptive Gauss-Kronrod quadrature; the ratio is r = rate1 / rate2.  It never
+calls the closed forms, so it serves as an independent oracle for them.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -32,42 +31,6 @@ COEFFICIENTS = ("delta", "rho", "lambda", "kl_lambda")
 
 class QuadratureNonConvergence(RuntimeError):
     """Adaptive quadrature failed to reach the error target within budget."""
-
-
-class Parameterization(Enum):
-    """How the two exponential parameters are to be read."""
-
-    RATE = "rate"    # density theta * exp(-theta * x)
-    MEAN = "mean"    # density (1/theta) * exp(-x / theta)
-
-
-@dataclass(frozen=True)
-class ExponentialParams:
-    """Parameters of two exponential populations.
-
-    The overlap coefficients depend only on the ratio theta1/theta2, which is
-    why ``ratio()`` ignores the parameterization tag.  The tag matters for
-    anything touching the actual densities (sampling, quadrature).
-    """
-
-    theta1: float
-    theta2: float
-    parameterization: Parameterization = Parameterization.RATE
-
-    def __post_init__(self) -> None:
-        for name in ("theta1", "theta2"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v > 0):
-                raise ValueError(f"{name} must be strictly positive and finite, got {v!r}")
-
-    def ratio(self) -> float:
-        return self.theta1 / self.theta2
-
-    def rates(self) -> tuple[float, float]:
-        """Hazard rates of the two densities."""
-        if self.parameterization is Parameterization.RATE:
-            return self.theta1, self.theta2
-        return 1.0 / self.theta1, 1.0 / self.theta2
 
 
 def _as_ratio(r):
@@ -125,7 +88,7 @@ def morisita_lambda(r):
 
 
 def kl_lambda(r):
-    """Overlap based on the symmetric KL divergence: r / (r^2 - r + 1).
+    """Overlap 1 / (1 + J), J = (r - 1)^2 / r the symmetric KL divergence: r / (r^2 - r + 1).
 
     The denominator is positive for every real r, so there is no singularity.
     """
@@ -149,20 +112,12 @@ def overlap_quartet(r) -> dict:
     return {key: MEASURES[key](r) for key in COEFFICIENTS}
 
 
-def symmetric_kl_exponential(params: ExponentialParams) -> float:
-    """Symmetric KL divergence J = int (f1 - f2) log(f1/f2) dx.
-
-    For two exponentials this reduces to (R - 1)^2 / R with R = theta1/theta2;
-    the value is the same under either parameterization because J(R) = J(1/R).
-    Satisfies kl_lambda(R) = 1 / (1 + J).
-    """
-    ratio = params.ratio()
-    return (ratio - 1.0) ** 2 / ratio
-
-
 # ---------------------------------------------------------------------------
 # Adaptive Gauss-Kronrod quadrature (the independent oracle)
 # ---------------------------------------------------------------------------
+
+#: Absolute error target of each integral behind ``overlap_by_quadrature``.
+_QUADRATURE_TOL = 1e-10
 
 # 15-point Kronrod nodes with embedded 7-point Gauss rule.
 _GK_NODES = np.array([
@@ -248,29 +203,31 @@ def integrate_adaptive(f, a: float, b: float, tol: float = 1e-10,
     return float(sum(val for _, _, _, _, val in sorted(heap, key=lambda e: e[2])))
 
 
-def overlap_by_quadrature(params: ExponentialParams, which: str,
-                          tol: float = 1e-10,
-                          max_subdivisions: int = 4000) -> float:
-    """Evaluate one overlap coefficient from its defining integral.
+def overlap_by_quadrature(rate1: float, rate2: float, which: str) -> float:
+    """Evaluate one overlap coefficient from its defining integral over the
+    densities rate * exp(-rate * x) of the two populations.
 
     The integrals run over [0, x_max] with x_max = 50 / min(rate1, rate2);
     the neglected tail of every integrand is bounded by exp(-50), far below
-    the error target.  Absolute error of the result is held below ~1e-9 at
-    the default tolerance.
+    the error target of _QUADRATURE_TOL per integral.  Absolute error of the
+    result is held below ~1e-9.
 
     Args:
-        params: the two exponential populations.
+        rate1: hazard rate of the first population.
+        rate2: hazard rate of the second population.
         which: one of COEFFICIENTS.
-        tol: absolute error target per integral.
-        max_subdivisions: adaptive bisection budget per integral.
 
     Raises:
-        ValueError: unknown coefficient key.
-        QuadratureNonConvergence: budget exhausted before reaching tol.
+        ValueError: unknown coefficient key, or a rate that is not strictly
+            positive and finite.
+        QuadratureNonConvergence: budget exhausted before reaching the target.
     """
     if which not in COEFFICIENTS:
         raise ValueError(f"unknown coefficient {which!r}, expected one of {COEFFICIENTS}")
-    r1, r2 = params.rates()
+    for name, rate in (("rate1", rate1), ("rate2", rate2)):
+        if not (math.isfinite(rate) and rate > 0):
+            raise ValueError(f"{name} must be strictly positive and finite, got {rate!r}")
+    r1, r2 = rate1, rate2
     x_max = 50.0 / min(r1, r2)
     # min(f1, f2) has a kink where the densities cross; the error estimate of
     # a panel straddling it is far too small, so the crossing is a boundary
@@ -286,23 +243,21 @@ def overlap_by_quadrature(params: ExponentialParams, which: str,
     def f2(x):
         return r2 * np.exp(-r2 * x)
 
-    def integrate(g, part_tol):
-        return integrate_adaptive(g, 0.0, x_max, tol=part_tol,
-                                  max_subdivisions=max_subdivisions,
-                                  initial_points=seeds)
+    def integrate(g, part_tol=_QUADRATURE_TOL):
+        return integrate_adaptive(g, 0.0, x_max, tol=part_tol, initial_points=seeds)
 
     if which == "delta":
-        return integrate(lambda x: np.minimum(f1(x), f2(x)), tol)
+        return integrate(lambda x: np.minimum(f1(x), f2(x)))
     if which == "rho":
-        return integrate(lambda x: np.sqrt(f1(x) * f2(x)), tol)
+        return integrate(lambda x: np.sqrt(f1(x) * f2(x)))
     if which == "lambda":
-        part_tol = 0.25 * tol * max(1.0, 0.5 * (r1 + r2))
+        part_tol = 0.25 * _QUADRATURE_TOL * max(1.0, 0.5 * (r1 + r2))
         i12 = integrate(lambda x: f1(x) * f2(x), part_tol)
         i11 = integrate(lambda x: f1(x) ** 2, part_tol)
         i22 = integrate(lambda x: f2(x) ** 2, part_tol)
         return 2.0 * i12 / (i11 + i22)
     # symmetric KL divergence, evaluated with log densities to dodge underflow
     log_ratio = math.log(r1) - math.log(r2)
-    j_tol = tol * (1.0 + r1 / r2 + r2 / r1)
+    j_tol = _QUADRATURE_TOL * (1.0 + r1 / r2 + r2 / r1)
     j = integrate(lambda x: (f1(x) - f2(x)) * (log_ratio - (r1 - r2) * x), j_tol)
     return 1.0 / (1.0 + max(j, 0.0))

@@ -1,10 +1,11 @@
-import math
+import importlib.util
+from pathlib import Path
 
-import numpy as np
 import pytest
-from scipy import integrate, stats
 
 from expoverlap.simulation import SimConfig, compare_to_reference, run_study
+
+ORACLES_PATH = Path(__file__).resolve().parents[1] / "bench" / "oracles.py"
 
 
 @pytest.fixture(scope="session")
@@ -18,58 +19,26 @@ def default_comparison(default_table):
     return compare_to_reference(default_table)
 
 
-# Closed forms written out from their definitions in the README, so the
-# exact-moment oracle below shares no code with the package under test.
-def _delta(r):
-    return 1.0 if r == 1.0 else 1.0 - abs(1.0 - 1.0 / r) * r ** (1.0 / (1.0 - r))
-
-
-_CLOSED_FORMS = {
-    "delta": _delta,
-    "rho": lambda r: 2.0 * math.sqrt(r) / (1.0 + r),
-    "lambda": lambda r: 4.0 * r / ((1.0 + r) * (1.0 + r)),
-    "kl_lambda": lambda r: r / (r * r - r + 1.0),
-}
+@pytest.fixture(scope="session")
+def bench_oracles():
+    """``bench/oracles.py``, loaded by path: closed forms written out from the
+    README and scipy integrals over the F law, sharing no code with the package."""
+    spec = importlib.util.spec_from_file_location("bench_oracles", ORACLES_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="session")
-def f_law_moments():
-    """Exact bias and MSE of the plug-in estimator g(scale * R_hat).
-
-    R_hat / R follows F(2 n1, 2 n2), so both moments are one-dimensional
-    integrals against the scipy F density.  The range is split at the point
-    where scale * R * x = 1, the kink of delta.
-    """
-    def moments(g, r, n1, n2, scale):
-        pdf = stats.f(2 * n1, 2 * n2).pdf
-        truth = g(r)
-        kink = 1.0 / (scale * r)
-
-        def expect(h):
-            return sum(integrate.quad(lambda x: h(x) * pdf(x), a, b,
-                                      epsabs=1e-9, limit=200)[0]
-                       for a, b in ((0.0, kink), (kink, np.inf)))
-
-        bias = expect(lambda x: g(scale * r * x) - truth)
-        mse = expect(lambda x: (g(scale * r * x) - truth) ** 2)
-        return bias, mse
-
-    return moments
-
-
-@pytest.fixture(scope="session")
-def exact_moments(default_table, f_law_moments):
+def exact_moments(default_table, bench_oracles):
     """Exact (bias, mse) per (r, n1, coefficient) of the default-grid study.
 
-    delta, rho and lambda plug in R* = R_hat (n2-1)/n2; the KL overlap plugs
-    in R_hat unless the config switches it to R*.
+    delta, rho and lambda plug in R* = R_hat (n2-1)/n2 and the KL overlap
+    plugs in R_hat, as the default config does.
     """
     cfg = default_table.config
-    moments = {}
-    for r, n1, n2 in cfg.cells():
-        corrected = (n2 - 1.0) / n2
-        for key, g in _CLOSED_FORMS.items():
-            uses_r_hat = key == "kl_lambda" and not cfg.lambda_uses_corrected_ratio
-            scale = 1.0 if uses_r_hat else corrected
-            moments[(r, n1, key)] = f_law_moments(g, r, n1, n2, scale)
-    return moments
+    assert cfg.r_values == bench_oracles.STUDY_R
+    assert cfg.size_pairs == tuple((n, n) for n in bench_oracles.STUDY_N)
+    assert not cfg.lambda_uses_corrected_ratio
+    moments = bench_oracles.exact_study_moments(cfg.replications)
+    return {cell: (m["bias"], m["mse"]) for cell, m in moments.items()}

@@ -3,13 +3,14 @@
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the verdict lines.
 Criterion 7 grades the default-seed simulation on the reference grid against
 the exact bias and MSE of each estimator.  R_hat / R follows F(2n, 2n), so
-those moments are integrals against the scipy F density (the
-``exact_moments`` fixture in conftest.py); the criterion keeps the tolerance
-max(0.01, 3 * mc_se) and the 90% gate.  It does not grade against the bundled
-reference table: that table is published-formula output, with biases about
-twice the exact ones (delta at (0.5, 20): table -0.031, exact -0.0154) and
-flipped KL signs at R = 0.2 and 0.8 (kl_lambda at (0.8, 20): table -0.20,
-exact -0.0662).  ``simulate`` still grades against the table, see the README.
+those moments are scipy integrals against the F density (``bench/oracles.py``,
+through the ``exact_moments`` fixture in conftest.py); the criterion keeps the
+tolerance max(0.01, 3 * mc_se) and the 90% gate.  It does not grade against
+the bundled reference table: that table is published-formula output, with
+biases about twice the exact ones (delta at (0.5, 20): table -0.031, exact
+-0.0154) and flipped KL signs at R = 0.2 and 0.8 (kl_lambda at (0.8, 20):
+table -0.20, exact -0.0662).  ``simulate`` still grades against the table, see
+the README.
 """
 
 import hashlib
@@ -28,7 +29,6 @@ from expoverlap.estimation import taylor_variances, variance_factor
 from expoverlap.measures import (
     COEFFICIENTS,
     MEASURES,
-    ExponentialParams,
     overlap_by_quadrature,
     overlap_quartet,
 )
@@ -66,9 +66,8 @@ def test_criterion_1_closed_form_anchors():
 def test_criterion_2_oracle_equivalence():
     failures = []
     for r in np.geomspace(0.05, 20.0, 50):
-        params = ExponentialParams(float(r), 1.0)
         for key in COEFFICIENTS:
-            gap = abs(MEASURES[key](float(r)) - overlap_by_quadrature(params, key))
+            gap = abs(MEASURES[key](float(r)) - overlap_by_quadrature(float(r), 1.0, key))
             if gap > 1e-6:
                 failures.append(f"{key}(r={r:.4g}) gap {gap:.2e}")
     _verdict(2, "oracle equivalence", failures)
@@ -167,7 +166,7 @@ def test_criterion_6_variance_formulas_match_delta_method():
 
 def test_criterion_7_reference_table_reproduction(default_table, exact_moments):
     # independent oracle: exact sampling moments from the F(2n, 2n) law of
-    # R_hat / R, integrated against the scipy density (see conftest.py)
+    # R_hat / R, integrated against the F density (bench/oracles.py)
     failures = []
     n_passed = n_compared = 0
     for cell in default_table.cells:
@@ -196,10 +195,14 @@ def test_criterion_7_reference_table_reproduction(default_table, exact_moments):
     _verdict(7, "reference grid vs exact moments", failures)
 
 
-def test_exact_moment_oracle_recovers_ratio_moments(f_law_moments):
+def test_exact_moment_oracle_recovers_ratio_moments(bench_oracles):
     # R* = R_hat (n2-1)/n2 is exactly unbiased with a closed-form variance
     for r, n in ((0.2, 20), (0.8, 500)):
-        bias, mse = f_law_moments(lambda x: x, r, n, n, (n - 1.0) / n)
+        def err(x, r=r, n=n):
+            return (n - 1.0) / n * r * x - r
+
+        bias = bench_oracles._f_expectation(err, 2 * n, 2 * n)
+        mse = bench_oracles._f_expectation(lambda x: err(x) ** 2, 2 * n, 2 * n)
         assert abs(bias) < 1e-8
         assert math.isclose(mse, r * r * (2 * n - 1) / (n * (n - 2)), rel_tol=1e-6)
 

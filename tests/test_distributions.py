@@ -124,6 +124,9 @@ def test_beta_validation():
         regularized_incomplete_beta(0.0, 1.0, 0.5)
     with pytest.raises(ValueError):
         regularized_incomplete_beta(1.0, 1.0, 1.5)
+    for x in (math.nan, np.array([0.5, math.nan])):
+        with pytest.raises(ValueError):
+            regularized_incomplete_beta(1.0, 1.0, x)
 
 
 @settings(max_examples=200, deadline=None)
@@ -188,6 +191,21 @@ def test_f_cdf_edges_and_symmetry():
     assert f_cdf(7, 9, 0.0) == 0.0
     for d in (2, 20, 100):
         assert abs(f_cdf(d, d, 1.0) - 0.5) <= 1e-12
+
+
+@pytest.mark.parametrize("d1,d2", [(2, 2), (1, 40), (300, 7)])
+def test_f_cdf_at_infinity_is_one(d1, d2):
+    got = f_cdf(d1, d2, math.inf)
+    assert got == 1.0 and isinstance(got, float)
+    vals = f_cdf(d1, d2, np.array([0.0, 1.0, math.inf]))
+    assert vals[0] == 0.0 and vals[2] == 1.0
+    assert vals[1] == f_cdf(d1, d2, 1.0)
+
+
+@pytest.mark.parametrize("x", [math.nan, np.array([1.0, math.nan]), -math.inf])
+def test_f_cdf_rejects_nan_and_negative_infinity(x):
+    with pytest.raises(ValueError):
+        f_cdf(2, 2, x)
 
 
 def test_f_cdf_table_anchor():

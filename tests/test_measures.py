@@ -8,8 +8,6 @@ from hypothesis import strategies as st
 from expoverlap.measures import (
     COEFFICIENTS,
     MEASURES,
-    ExponentialParams,
-    Parameterization,
     QuadratureNonConvergence,
     integrate_adaptive,
     kl_lambda,
@@ -17,7 +15,6 @@ from expoverlap.measures import (
     morisita_lambda,
     overlap_by_quadrature,
     overlap_quartet,
-    symmetric_kl_exponential,
     weitzman_delta,
 )
 
@@ -92,70 +89,60 @@ def test_ratio_validation(bad):
             fn(bad)
 
 
-def test_exponential_params_validation():
-    with pytest.raises(ValueError):
-        ExponentialParams(0.0, 1.0)
-    with pytest.raises(ValueError):
-        ExponentialParams(1.0, -2.0)
-    p = ExponentialParams(3.0, 1.5, Parameterization.MEAN)
-    assert p.ratio() == 2.0
-    assert p.rates() == (1.0 / 3.0, 1.0 / 1.5)
-
-
-def test_symmetric_kl_values():
-    assert symmetric_kl_exponential(ExponentialParams(1.3, 1.3)) == 0.0
-    assert abs(symmetric_kl_exponential(ExponentialParams(0.5, 1.0)) - 0.5) <= 1e-15
-    assert abs(symmetric_kl_exponential(ExponentialParams(0.2, 1.0)) - 3.2) <= 1e-14
+@pytest.mark.parametrize("bad", [0.0, -2.0, math.inf, math.nan])
+def test_oracle_rate_validation(bad):
+    for rates in ((bad, 1.0), (1.0, bad)):
+        with pytest.raises(ValueError):
+            overlap_by_quadrature(*rates, "delta")
 
 
 def test_symmetric_kl_matches_quadrature():
     # J recovered from the oracle's KL overlap must match (R-1)^2 / R
     for r in (0.2, 0.5, 3.0):
-        params = ExponentialParams(r, 1.0)
-        j_oracle = 1.0 / overlap_by_quadrature(params, "kl_lambda") - 1.0
-        assert abs(j_oracle - symmetric_kl_exponential(params)) <= 1e-8
-        assert abs(kl_lambda(r) - 1.0 / (1.0 + symmetric_kl_exponential(params))) <= 1e-15
+        j = (r - 1.0) ** 2 / r
+        j_oracle = 1.0 / overlap_by_quadrature(r, 1.0, "kl_lambda") - 1.0
+        assert abs(j_oracle - j) <= 1e-8
+        assert abs(kl_lambda(r) - 1.0 / (1.0 + j)) <= 1e-15
 
 
 def test_oracle_spot_values():
-    assert abs(overlap_by_quadrature(ExponentialParams(1.0, 1.0), "delta") - 1.0) <= 1e-9
-    assert abs(overlap_by_quadrature(ExponentialParams(1.0, 2.0), "delta") - 0.750) <= 1e-9
+    assert abs(overlap_by_quadrature(1.0, 1.0, "delta") - 1.0) <= 1e-9
+    assert abs(overlap_by_quadrature(1.0, 2.0, "delta") - 0.750) <= 1e-9
     rho_02 = 2.0 * math.sqrt(0.2) / 1.2
-    assert abs(overlap_by_quadrature(ExponentialParams(1.0, 5.0), "rho") - rho_02) <= 1e-9
+    assert abs(overlap_by_quadrature(1.0, 5.0, "rho") - rho_02) <= 1e-9
 
 
 @pytest.mark.parametrize("r", np.geomspace(0.05, 20.0, 10))
 def test_oracle_matches_closed_forms(r):
-    params = ExponentialParams(float(r), 1.0)
     for key in COEFFICIENTS:
-        assert abs(MEASURES[key](float(r)) - overlap_by_quadrature(params, key)) <= 1e-6
+        assert abs(MEASURES[key](float(r)) - overlap_by_quadrature(float(r), 1.0, key)) <= 1e-6
 
 
 def test_oracle_scale_invariance():
-    base = [overlap_by_quadrature(ExponentialParams(0.5, 1.0), k) for k in COEFFICIENTS]
+    base = [overlap_by_quadrature(0.5, 1.0, k) for k in COEFFICIENTS]
     for c in (0.1, 10.0):
-        params = ExponentialParams(0.5 * c, 1.0 * c)
-        scaled = [overlap_by_quadrature(params, k) for k in COEFFICIENTS]
+        scaled = [overlap_by_quadrature(0.5 * c, 1.0 * c, k) for k in COEFFICIENTS]
         assert all(abs(a - b) <= 1e-8 for a, b in zip(base, scaled))
 
 
 def test_oracle_mean_parameterization():
-    # mean parameters (2, 1) have rate ratio 1/2; by reciprocity the quartet
-    # must equal the closed forms at the mean ratio 2
-    p = ExponentialParams(2.0, 1.0, Parameterization.MEAN)
+    # mean parameters (2, 1) are rates (1/2, 1), rate ratio 1/2; by
+    # reciprocity the quartet must equal the closed forms at the mean ratio 2
     for key in COEFFICIENTS:
-        assert abs(overlap_by_quadrature(p, key) - MEASURES[key](2.0)) <= 1e-6
+        assert abs(overlap_by_quadrature(1.0 / 2.0, 1.0 / 1.0, key) - MEASURES[key](2.0)) <= 1e-6
 
 
 def test_oracle_rejects_unknown_key():
     with pytest.raises(ValueError):
-        overlap_by_quadrature(ExponentialParams(1.0, 2.0), "jaccard")
+        overlap_by_quadrature(1.0, 2.0, "jaccard")
 
 
 def test_quadrature_budget_exhaustion():
+    # the delta integrand at rates (1, 7), kink and all, cannot reach 1e-13
+    # in one subdivision
     with pytest.raises(QuadratureNonConvergence):
-        overlap_by_quadrature(ExponentialParams(1.0, 7.0), "delta",
-                              tol=1e-13, max_subdivisions=1)
+        integrate_adaptive(lambda x: np.minimum(np.exp(-x), 7.0 * np.exp(-7.0 * x)),
+                           0.0, 50.0, tol=1e-13, max_subdivisions=1)
 
 
 def test_integrate_adaptive_known_integral():
@@ -168,8 +155,7 @@ def test_integrate_adaptive_known_integral():
 @example(r=17.25)
 @example(r=0.058)
 def test_oracle_equivalence_property(r):
-    params = ExponentialParams(r, 1.0)
-    assert abs(weitzman_delta(r) - overlap_by_quadrature(params, "delta")) <= 1e-6
+    assert abs(weitzman_delta(r) - overlap_by_quadrature(r, 1.0, "delta")) <= 1e-6
 
 
 def test_vectorized_matches_scalar():
