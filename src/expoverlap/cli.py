@@ -60,28 +60,33 @@ EXIT_CODES = {
 
 
 def read_sample_file(path: str) -> np.ndarray:
-    values = []
+    """Parsed and checked at once; only a failing file is re-read line by line."""
     try:
         lines = Path(path).read_text(encoding="utf-8").splitlines()
     except OSError as exc:
         raise SampleFileError(f"{path}: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:
         raise SampleFileError(f"{path}: not UTF-8 text (byte {exc.start})") from exc
-    for lineno, raw in enumerate(lines, start=1):
-        text = raw.strip()
-        if not text or text.startswith("#"):
-            continue
-        try:
-            value = float(text)
-        except ValueError as exc:
-            raise SampleFileError(f"{path}:{lineno}: not a number: {text!r}") from exc
-        if not math.isfinite(value) or value <= 0.0:
-            raise SampleFileError(
-                f"{path}:{lineno}: observations must be positive and finite, got {text}")
-        values.append(value)
-    if not values:
+    texts = [t for t in map(str.strip, lines) if t and t[0] != "#"]
+    try:
+        values = np.fromiter(map(float, texts), dtype=float, count=len(texts))
+    except ValueError:
+        values = None
+    if values is None or not np.all((values > 0.0) & (values < math.inf)):
+        for lineno, raw in enumerate(lines, start=1):
+            text = raw.strip()
+            if not text or text.startswith("#"):
+                continue
+            try:
+                value = float(text)
+            except ValueError as exc:
+                raise SampleFileError(f"{path}:{lineno}: not a number: {text!r}") from exc
+            if not math.isfinite(value) or value <= 0.0:
+                raise SampleFileError(
+                    f"{path}:{lineno}: observations must be positive and finite, got {text}")
+    if not texts:
         raise SampleFileError(f"{path}: no observations found")
-    return np.asarray(values)
+    return values
 
 
 @dataclass

@@ -7,15 +7,18 @@ of the exponential sample mean, and small Kolmogorov-Smirnov helpers used by
 the distribution-law self checks.
 
 Everything here is deterministic: a (seed, stream_id) pair always produces
-the same variates under any execution order.  The Philox uniforms are the
-same on every platform; ``sample_exponential`` maps them through numpy's
-SIMD ``log``, so its variates are bit-identical on the same numpy build and
-CPU features.
+the same variates under any execution order.  Each thread draws its streams
+from one Philox generator, re-keyed on every call, so a stream is still a
+value.  The Philox uniforms are the same on every platform;
+``sample_exponential`` maps them through numpy's SIMD ``log``, so its
+variates are bit-identical on the same numpy build and CPU features, and a
+block of streams mapped in place gives each row the bits of its stream alone.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +26,10 @@ import numpy as np
 
 class NonConvergence(RuntimeError):
     """An iterative evaluation exhausted its budget before converging."""
+
+
+#: One Philox generator per thread, re-keyed for every stream it draws.
+_PER_THREAD = threading.local()
 
 
 @dataclass(frozen=True)
@@ -52,21 +59,40 @@ class SeededStream:
         """
         if n < 1:
             raise ValueError("n must be >= 1")
-        key = (int(self.stream_id) << 64) | int(self.seed)
-        raw = np.random.Philox(key=key).random_raw(int(n))
-        return ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53
+        philox = getattr(_PER_THREAD, "philox", None)
+        if philox is None:
+            philox = _PER_THREAD.philox = np.random.Philox(key=0)
+        # counter 0 and an empty buffer under key [seed, stream_id]: the words
+        # of a fresh np.random.Philox(key=(stream_id << 64) | seed)
+        philox.state = {"bit_generator": "Philox", "buffer": [0] * 4, "buffer_pos": 4,
+                        "has_uint32": 0, "uinteger": 0,
+                        "state": {"counter": [0] * 4, "key": [self.seed, self.stream_id]}}
+        raw = philox.random_raw(int(n))
+        raw >>= 11  # in place: one array of n words fewer at the peak
+        return (raw.astype(np.float64) + 0.5) * 2.0 ** -53
 
 
-def sample_exponential(stream: SeededStream, mean_theta: float, n: int) -> np.ndarray:
+def sample_exponential(stream: SeededStream | list[SeededStream], mean_theta: float,
+                       n: int) -> np.ndarray:
     """n i.i.d. draws from the exponential density (1/theta) exp(-x/theta).
 
     Inverse-CDF method x = -theta * log(U); with U in the open unit interval
     the output is always finite and strictly positive, and scaling in theta
-    is exact: the theta=2 sample is bitwise twice the theta=1 sample.
+    is exact: the theta=2 sample is bitwise twice the theta=1 sample.  Given
+    a list of streams, the result has one row of n draws per stream, each
+    bitwise the sample that stream gives alone.
     """
     if not (math.isfinite(mean_theta) and mean_theta > 0):
         raise ValueError(f"mean_theta must be strictly positive, got {mean_theta!r}")
-    return mean_theta * (-np.log(stream.uniforms(n)))
+    if isinstance(stream, SeededStream):
+        x = stream.uniforms(n)
+    else:
+        x = np.empty((len(stream), n))
+        for row, s in zip(x, stream):
+            row[...] = s.uniforms(n)
+    np.log(x, out=x)
+    np.negative(x, out=x)
+    return np.multiply(mean_theta, x, out=x)
 
 
 # ---------------------------------------------------------------------------
@@ -197,9 +223,12 @@ def f_cdf(d1: int, d2: int, x):
 
 
 def f_pdf(d1: int, d2: int, x: float) -> float:
-    """Density of the F(d1, d2) distribution; x f(x) is the front factor at y."""
+    """Density of the F(d1, d2) distribution; x f(x) is the front factor at y,
+    and the density is 0 at x <= 0 and at x = inf."""
     _check_df(d1, d2)
-    if x <= 0:
+    if math.isnan(x):
+        raise ValueError("x must not be NaN")
+    if not 0 < x < math.inf:
         return 0.0
     y = d1 * x / (d1 * x + d2)
     return math.exp(float(_log_front(d1 / 2.0, d2 / 2.0, y))) / x

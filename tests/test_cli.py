@@ -7,7 +7,7 @@ import pytest
 from click.testing import CliRunner
 
 from expoverlap import confidence, measures
-from expoverlap.cli import main
+from expoverlap.cli import SampleFileError, main, read_sample_file
 from expoverlap.distributions import NonConvergence, SeededStream, sample_exponential
 from expoverlap.estimation import TwoSample, estimate_report
 from expoverlap.measures import COEFFICIENTS
@@ -69,6 +69,43 @@ def test_estimate_rejects_non_numeric(runner, tmp_path, constant_files):
     res = runner.invoke(main, ["estimate", constant_files[0], str(bad)])
     assert res.exit_code == 2
     assert "bad.txt:2" in res.output
+
+
+_MIXED_SYNTAX = "# header\r\n1_000\r\n+1e-3\r\n\r\n  2.5  \n\t7E-2\n# 0\n3\r\n"
+
+
+def test_read_sample_file_matches_line_loop(tmp_path):
+    path = tmp_path / "mixed.txt"
+    path.write_bytes(_MIXED_SYNTAX.encode())
+    expected = [float(line.strip()) for line in _MIXED_SYNTAX.splitlines()
+                if line.strip() and not line.strip().startswith("#")]
+    got = read_sample_file(str(path))
+    assert got.dtype == np.float64
+    assert got.tolist() == expected == [1000.0, 0.001, 2.5, 0.07, 3.0]
+
+
+@pytest.mark.parametrize("bad, message", [
+    ("potato", "not a number: 'potato'"),
+    ("1,5", "not a number: '1,5'"),
+    ("0", "observations must be positive and finite, got 0"),
+    ("-0.0", "observations must be positive and finite, got -0.0"),
+    ("nan", "observations must be positive and finite, got nan"),
+    ("1e999", "observations must be positive and finite, got 1e999"),
+])
+def test_read_sample_file_names_first_bad_line(tmp_path, bad, message):
+    # the bad line is line 9, before a second bad line; CRLF line ends
+    path = tmp_path / "bad.txt"
+    path.write_bytes((_MIXED_SYNTAX + f"  {bad}  \r\n-1\r\n").encode())
+    with pytest.raises(SampleFileError) as err:
+        read_sample_file(str(path))
+    assert str(err.value) == f"{path}:9: {message}"
+
+
+def test_read_sample_file_without_observations(tmp_path):
+    path = tmp_path / "empty.txt"
+    path.write_text("# only\n\n   \n")
+    with pytest.raises(SampleFileError, match="no observations found"):
+        read_sample_file(str(path))
 
 
 def test_estimate_missing_file(runner, constant_files):

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import mpmath
 import numpy as np
@@ -12,6 +14,7 @@ from expoverlap.distributions import (
     SeededStream,
     erlang_cdf,
     f_cdf,
+    f_pdf,
     f_quantile,
     ks_critical_value,
     ks_statistic,
@@ -43,6 +46,56 @@ def test_distinct_streams_differ():
     c = sample_exponential(SeededStream(43, 0), 1.0, 8)
     assert not np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+def test_interleaved_streams_match_fresh_philox():
+    # the per-thread generator is re-keyed on every call: A, then B, then A
+    # again each give the words of a freshly keyed Philox
+    def fresh(seed, stream_id, n):
+        raw = np.random.Philox(key=(stream_id << 64) | seed).random_raw(n)
+        return ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53
+
+    a, b = SeededStream(7, 2 ** 64 - 1), SeededStream(2 ** 64 - 1, 3)
+    for stream, n in ((a, 5), (b, 1001), (a, 5), (a, 3), (b, 2)):
+        got = stream.uniforms(n)
+        assert np.array_equal(got, fresh(stream.seed, stream.stream_id, n))
+
+
+def test_threads_draw_streams_independently():
+    # each thread re-keys its own generator; a switch between the keying and
+    # the draw must not hand one thread another's words
+    streams = [SeededStream(5, i) for i in range(6)]
+    expected = [s.uniforms(9) for s in streams]
+    mismatches = []
+
+    def work(k):
+        for i in range(300):
+            j = (i + k) % len(streams)
+            if not np.array_equal(streams[j].uniforms(9), expected[j]):
+                mismatches.append((k, j))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert mismatches == []
+
+
+def test_exponential_rows_match_single_streams():
+    streams = [SeededStream(11, i) for i in (0, 5, 2 ** 63)]
+    for n in (1, 20, 257):
+        block = sample_exponential(streams, 0.3, n)
+        assert block.shape == (3, n)
+        for row, stream in zip(block, streams):
+            assert np.array_equal(row, sample_exponential(stream, 0.3, n))
+            assert np.array_equal(row, 0.3 * (-np.log(stream.uniforms(n))))
 
 
 def test_uniforms_open_interval():
@@ -206,6 +259,18 @@ def test_f_cdf_at_infinity_is_one(d1, d2):
 def test_f_cdf_rejects_nan_and_negative_infinity(x):
     with pytest.raises(ValueError):
         f_cdf(2, 2, x)
+
+
+@pytest.mark.parametrize("d1,d2", [(2, 2), (1, 40), (300, 7)])
+def test_f_pdf_at_infinity_is_zero(d1, d2):
+    assert f_pdf(d1, d2, math.inf) == 0.0
+    assert f_pdf(d1, d2, -math.inf) == 0.0
+
+
+@pytest.mark.parametrize("x", [math.nan, np.float64(math.nan)])
+def test_f_pdf_rejects_nan(x):
+    with pytest.raises(ValueError):
+        f_pdf(2, 2, x)
 
 
 def test_f_cdf_table_anchor():

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -20,7 +21,8 @@ from expoverlap.simulation import (
     write_cells_csv,
     write_figure_csvs,
     write_summary_json,
-    _cell_stream_id,
+    _cell_stream_ids,
+    _draw_means,
 )
 
 SMALL = SimConfig(r_values=(0.5,), size_pairs=((10, 10), (25, 25)), replications=200, seed=9)
@@ -78,10 +80,45 @@ def test_run_cell_matches_study_cell(small_table):
 
 
 def test_stream_ids_distinct():
-    ids = {_cell_stream_id(0.5, 20, 20, rep, pop)
-           for rep in range(50) for pop in (0, 1)}
+    ids = set(_cell_stream_ids(0.5, 20, 20, 50).ravel().tolist())
     assert len(ids) == 100
-    assert _cell_stream_id(0.5, 20, 20, 0, 0) != _cell_stream_id(0.2, 20, 20, 0, 0)
+    assert _cell_stream_ids(0.5, 20, 20, 1)[0, 0] != _cell_stream_ids(0.2, 20, 20, 1)[0, 0]
+
+
+def _splitmix64(z):
+    mask = 2 ** 64 - 1
+    z = (z + 0x9E3779B97F4A7C15) & mask
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+    return z ^ (z >> 31)
+
+
+@pytest.mark.parametrize("r, n1, n2",
+                         [(0.2, 20, 20), (0.5, 10, 15), (1e-300, 1, 3), (7.5, 500, 500)])
+def test_stream_ids_match_scalar_splitmix(r, n1, n2):
+    ids = _cell_stream_ids(r, n1, n2, 300)
+    assert ids.shape == (300, 2) and ids.dtype == np.uint64
+    r_bits = struct.unpack("<Q", struct.pack("<d", r))[0]
+    for rep in range(300):
+        for pop in (0, 1):
+            h = 0
+            for part in (r_bits, n1, n2, rep, pop):
+                h = _splitmix64(h ^ part)
+            assert int(ids[rep, pop]) == h
+
+
+@pytest.mark.parametrize("n1, n2, reps",
+                         [(7, 13, 40), (1, 3, 25), (500, 500, 300), (20, 20, 3300)])
+def test_block_means_match_per_replication_draws(n1, n2, reps):
+    # 65,536 // 500 = 131 and 65,536 // 20 = 3,276 rows per block: neither
+    # 300 nor 3,300 replications fill a whole number of blocks
+    cfg = SimConfig(r_values=(0.5,), size_pairs=((n1, n2),), replications=reps, seed=29)
+    m1, m2 = _draw_means(cfg, 0.5, n1, n2)
+    ids = _cell_stream_ids(0.5, n1, n2, reps)
+    for rep in range(reps):
+        a = sample_exponential(SeededStream(29, int(ids[rep, 0])), 0.5, n1).mean()
+        b = sample_exponential(SeededStream(29, int(ids[rep, 1])), 1.0, n2).mean()
+        assert m1[rep] == a and m2[rep] == b
 
 
 def test_run_cell_requires_n2_above_two():
