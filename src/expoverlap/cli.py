@@ -4,7 +4,7 @@ Subcommands:
 
     estimate FILE1 FILE2        point estimates with plug-in variance/bias
     ci FILE1 FILE2 --level L    ratio and overlap confidence intervals
-    curves --r-min --r-max ...  coefficient-vs-ratio curve data (optional SVG)
+    curves --r-min --r-max ...  coefficient-vs-ratio curve data (plot-ready)
     simulate [...]              the Monte Carlo study, CSV/JSON emission
     check                       self-check suites
 
@@ -12,9 +12,9 @@ Global options choose the output format (table, csv, json) and destination.
 Sample files carry one observation per line; blank lines and lines starting
 with '#' are ignored.
 
-Exit codes: 0 ok, 2 unreadable input or usage error, 3 insufficient data or
-bad configuration, 4 reproduction gate failure, 5 self-check failure,
-6 numerical method did not converge.
+Exit codes: 0 ok, 2 unreadable input, unwritable output or usage error,
+3 insufficient data or bad configuration, 4 reproduction gate failure,
+5 self-check failure, 6 numerical method did not converge.
 """
 
 from __future__ import annotations
@@ -47,9 +47,14 @@ class SampleFileError(Exception):
     """A sample file could not be parsed; the message names the line."""
 
 
+class OutputPathError(Exception):
+    """The ``--output`` destination could not be written; the message names it."""
+
+
 #: Exit code of each error a command may raise; see ``_Main.invoke``.
 EXIT_CODES = {
     SampleFileError: EXIT_INPUT,
+    OutputPathError: EXIT_INPUT,
     EmptySample: EXIT_INPUT,
     NonPositiveObservation: EXIT_INPUT,
     InsufficientSampleSize: EXIT_INSUFFICIENT,
@@ -98,7 +103,10 @@ class OutputSpec:
         if self.destination == "-":
             click.echo(text, nl=not text.endswith("\n"))
         else:
-            Path(self.destination).write_text(text if text.endswith("\n") else text + "\n")
+            try:
+                Path(self.destination).write_text(text if text.endswith("\n") else text + "\n")
+            except OSError as exc:
+                raise OutputPathError(f"{self.destination}: {exc.strerror or exc}") from exc
 
 
 def _csv_text(header, rows) -> str:
@@ -218,70 +226,12 @@ def ci(out: OutputSpec, file1: str, file2: str, level: float) -> None:
         out.write("\n".join(lines))
 
 
-_SVG_COLORS = {"delta": "#1f77b4", "rho": "#d62728",
-               "lambda": "#2ca02c", "kl_lambda": "#9467bd"}
-
-
-def _curves_svg(rs: np.ndarray, series: dict[str, np.ndarray]) -> str:
-    width, height, margin = 640, 420, 50
-    x0, x1 = float(rs[0]), float(rs[-1])
-    span = x1 - x0 or 1.0
-
-    def sx(r):
-        return margin + (r - x0) / span * (width - 2 * margin)
-
-    def sy(v):
-        return height - margin - v * (height - 2 * margin)
-
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<line x1="{margin}" y1="{height - margin}" x2="{width - margin}" '
-        f'y2="{height - margin}" stroke="black"/>',
-        f'<line x1="{margin}" y1="{margin}" x2="{margin}" y2="{height - margin}" '
-        f'stroke="black"/>',
-        f'<text x="{width / 2:.0f}" y="{height - 12}" text-anchor="middle" '
-        f'font-size="13">ratio r</text>',
-        f'<text x="14" y="{height / 2:.0f}" text-anchor="middle" font-size="13" '
-        f'transform="rotate(-90 14 {height / 2:.0f})">overlap</text>',
-    ]
-    for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
-        y = sy(frac)
-        parts.append(f'<line x1="{margin - 4}" y1="{y:.1f}" x2="{margin}" y2="{y:.1f}" '
-                     f'stroke="black"/>')
-        parts.append(f'<text x="{margin - 8}" y="{y + 4:.1f}" text-anchor="end" '
-                     f'font-size="11">{frac:g}</text>')
-    for frac in np.linspace(0.0, 1.0, 5):
-        r = x0 + frac * span
-        x = sx(r)
-        parts.append(f'<line x1="{x:.1f}" y1="{height - margin}" x2="{x:.1f}" '
-                     f'y2="{height - margin + 4}" stroke="black"/>')
-        parts.append(f'<text x="{x:.1f}" y="{height - margin + 16}" text-anchor="middle" '
-                     f'font-size="11">{r:.3g}</text>')
-    for i, (key, vals) in enumerate(series.items()):
-        points = " ".join(f"{sx(r):.2f},{sy(v):.2f}" for r, v in zip(rs, vals))
-        color = _SVG_COLORS[key]
-        parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
-                     f'points="{points}"/>')
-        y = margin + 16 * i
-        parts.append(f'<line x1="{width - margin - 120}" y1="{y}" '
-                     f'x2="{width - margin - 96}" y2="{y}" stroke="{color}" '
-                     f'stroke-width="2"/>')
-        parts.append(f'<text x="{width - margin - 90}" y="{y + 4}" '
-                     f'font-size="12">{key}</text>')
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
-
-
 @main.command()
 @click.option("--r-min", type=float, required=True)
 @click.option("--r-max", type=float, required=True)
 @click.option("--points", type=int, default=101, show_default=True)
-@click.option("--svg", "svg_path", default=None, help="Also write an SVG line chart here.")
 @click.pass_obj
-def curves(out: OutputSpec, r_min: float, r_max: float, points: int,
-           svg_path: str | None) -> None:
+def curves(out: OutputSpec, r_min: float, r_max: float, points: int) -> None:
     """Tabulate the four coefficients on a ratio grid (plot-ready)."""
     if not (0.0 < r_min < r_max) or not math.isfinite(r_max):
         raise click.BadParameter("need 0 < r-min < r-max", param_hint="--r-min/--r-max")
@@ -290,9 +240,6 @@ def curves(out: OutputSpec, r_min: float, r_max: float, points: int,
 
     rs = np.linspace(r_min, r_max, points)
     series = measures.overlap_quartet(rs)
-
-    if svg_path:
-        Path(svg_path).write_text(_curves_svg(rs, series))
 
     if out.format == "json":
         payload = {"r": [float(r) for r in rs]}
@@ -323,13 +270,9 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
 @click.option("--n", "n_text", default=None, help="Comma-separated sample sizes.")
 @click.option("--reps", type=int, default=None, help="Replications per cell.")
 @click.option("--seed", type=int, default=None, help=f"RNG seed (default {DEFAULT_SEED}).")
-@click.option("--theta2", type=float, default=None, help="Scale anchor of population 2.")
-@click.option("--lambda-corrected", is_flag=True,
-              help="Evaluate the KL overlap at the corrected ratio r_hat_star.")
 @click.pass_obj
 def simulate(out: OutputSpec, r_text: str | None, n_text: str | None,
-             reps: int | None, seed: int | None, theta2: float | None,
-             lambda_corrected: bool) -> None:
+             reps: int | None, seed: int | None) -> None:
     """Run the Monte Carlo study; write cell, figure and summary files.
 
     Emits cells.csv, bias_vs_r.csv, std_vs_r.csv, mse_vs_r.csv and
@@ -349,14 +292,14 @@ def simulate(out: OutputSpec, r_text: str | None, n_text: str | None,
         kwargs["replications"] = reps
     if seed is not None:
         kwargs["seed"] = seed
-    if theta2 is not None:
-        kwargs["theta2"] = theta2
-    kwargs["lambda_uses_corrected_ratio"] = lambda_corrected
 
     cfg = SimConfig(**kwargs)
 
     out_dir = Path("simulation_output" if out.destination == "-" else out.destination)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise OutputPathError(f"{out_dir}: {exc.strerror or exc}") from exc
 
     table = simulation.run_study(cfg)
     try:
@@ -401,11 +344,12 @@ def check(out: OutputSpec, seed: int) -> None:
                               "passed": all(r.passed for r in results),
                               "suites": [asdict(r) for r in results]}, indent=2))
     else:
+        lines = []
         for result in results:
             status = "PASS" if result.passed else "FAIL"
-            click.echo(f"{result.name:<24} {status}  ({result.n_checks} checks)")
-            for failure in result.failures[:10]:
-                click.echo(f"    {failure}")
+            lines.append(f"{result.name:<24} {status}  ({result.n_checks} checks)")
+            lines += [f"    {failure}" for failure in result.failures[:10]]
+        out.write("\n".join(lines))
     if not all(r.passed for r in results):
         sys.exit(EXIT_SELF_CHECK)
 

@@ -7,7 +7,7 @@ bias-corrected version R* = R_hat * (n2-1)/n2 is exactly unbiased with
 
 The coefficient estimators plug the ratio estimate into the closed forms:
 delta, rho and lambda use R*, while the KL overlap uses the uncorrected
-R_hat by default (``lambda_uses_corrected_ratio`` switches it to R*).
+R_hat.
 
 ``taylor_variances`` and ``taylor_biases`` evaluate the first and second
 order expansion formulas for the sampling variance and bias of the four
@@ -115,18 +115,15 @@ def ratio_estimates(sample: TwoSample) -> RatioEstimates:
                           r_hat=r_hat, r_hat_star=r_star, var_r_hat_star=var)
 
 
-def ovl_point_estimates(r_hat, r_star,
-                        lambda_uses_corrected_ratio: bool = False) -> dict:
+def ovl_point_estimates(r_hat, r_star) -> dict:
     """Plug-in overlap estimates from R_hat and R* = ``corrected_ratio(R_hat, n2)``,
     keyed in COEFFICIENTS order.
 
     delta, rho and lambda evaluate at r_star; the KL overlap evaluates at the
-    uncorrected r_hat unless ``lambda_uses_corrected_ratio`` is set.  Both
-    ratios may be floats or equal-shape ndarrays (one entry per replication);
-    the values then have the same type.
+    uncorrected r_hat.  Both ratios may be floats or equal-shape ndarrays (one
+    entry per replication); the values then have the same type.
     """
-    r_for_kl = r_star if lambda_uses_corrected_ratio else r_hat
-    return {key: MEASURES[key](r_for_kl if key == "kl_lambda" else r_star)
+    return {key: MEASURES[key](r_hat if key == "kl_lambda" else r_star)
             for key in COEFFICIENTS}
 
 
@@ -245,7 +242,6 @@ class EstimateReport:
             "points": dict(self.points),
             "variances": dict(self.variances),
             "biases": dict(self.biases),
-            "lambda_uses_corrected_ratio": False,
         }
 
 

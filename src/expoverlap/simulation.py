@@ -1,7 +1,8 @@
 """Seeded Monte Carlo study of the four overlap estimators.
 
 For every grid cell (r, n) the engine draws ``replications`` independent
-pairs of exponential samples (means theta1 = r * theta2 and theta2),
+pairs of exponential samples with means r and 1 (the coefficients and the
+estimator laws depend on the populations only through r = theta1 / theta2),
 computes the four plug-in estimators, and aggregates empirical bias, MSE,
 bias/sigma and the Monte Carlo standard error of the bias.
 
@@ -61,20 +62,16 @@ class GridMismatch(ValueError):
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Study design: grid, replication count, seed and sampling anchors.
+    """Study design: grid, replication count and seed.
 
-    theta2 anchors the scale (theta1 = r * theta2); the coefficients and the
-    estimator laws depend only on the ratio.  ``size_pairs`` lists the
-    (n1, n2) sample sizes of the grid; the default pairs n1 = n2 = n over
-    the reference sizes.
+    ``size_pairs`` lists the (n1, n2) sample sizes of the grid; the default
+    pairs n1 = n2 = n over the reference sizes.
     """
 
     r_values: tuple[float, ...] = REFERENCE_R_VALUES
     size_pairs: tuple[tuple[int, int], ...] = tuple((n, n) for n in REFERENCE_SAMPLE_SIZES)
     replications: int = 1000
     seed: int = DEFAULT_SEED
-    theta2: float = 1.0
-    lambda_uses_corrected_ratio: bool = False
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "r_values", tuple(float(r) for r in self.r_values))
@@ -84,8 +81,6 @@ class SimConfig:
             raise ConfigError(f"replications must be >= 2, got {self.replications}")
         if not self.r_values or any(not (math.isfinite(r) and r > 0) for r in self.r_values):
             raise ConfigError("r_values must be nonempty and strictly positive")
-        if not (math.isfinite(self.theta2) and self.theta2 > 0):
-            raise ConfigError(f"theta2 must be strictly positive, got {self.theta2}")
         if not (isinstance(self.seed, int) and 0 <= self.seed < 2 ** 64):
             raise ConfigError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
         if not self.size_pairs or any(n1 < 1 or n2 < 3 for n1, n2 in self.size_pairs):
@@ -96,16 +91,17 @@ class SimConfig:
 
     def to_dict(self) -> dict:
         """Config echo; an all-equal grid is written as its list of sizes."""
+        # theta2 and the KL rule are constants, still echoed so summary.json keeps its bytes
         equal = all(n1 == n2 for n1, n2 in self.size_pairs)
         return {
             "r_values": list(self.r_values),
             "sample_sizes": [n1 for n1, _ in self.size_pairs] if equal else None,
             "replications": self.replications,
             "seed": self.seed,
-            "theta2": self.theta2,
+            "theta2": 1.0,
             "equal_sample_sizes": equal,
             "unequal_pairs": None if equal else [list(p) for p in self.size_pairs],
-            "lambda_uses_corrected_ratio": self.lambda_uses_corrected_ratio,
+            "lambda_uses_corrected_ratio": False,
         }
 
 
@@ -166,7 +162,7 @@ def _draw_means(cfg: SimConfig, r: float, n1: int, n2: int) -> tuple[np.ndarray,
     """Sample means of every replication's two samples, one substream each."""
     ids = _cell_stream_ids(r, n1, n2, cfg.replications)
     means = np.empty((2, cfg.replications))
-    for pop, (theta, n) in enumerate(((r * cfg.theta2, n1), (cfg.theta2, n2))):
+    for pop, (theta, n) in enumerate(((r, n1), (1.0, n2))):
         rows = max(1, _BLOCK_UNIFORMS // n)
         for start in range(0, cfg.replications, rows):
             streams = [SeededStream(cfg.seed, i) for i in ids[start:start + rows, pop].tolist()]
@@ -190,9 +186,7 @@ def run_cell(cfg: SimConfig, r: float, n: int, n2: int | None = None) -> SimCell
 
     m1, m2 = _draw_means(cfg, r, n1, n2)
     r_hat = m1 / m2
-    estimates = estimation.ovl_point_estimates(
-        r_hat, estimation.corrected_ratio(r_hat, n2),
-        cfg.lambda_uses_corrected_ratio)
+    estimates = estimation.ovl_point_estimates(r_hat, estimation.corrected_ratio(r_hat, n2))
     truth = measures.overlap_quartet(r)
 
     stats: dict[str, CellStats] = {}
@@ -291,7 +285,7 @@ def compare_to_reference(table: SimulationTable) -> ComparisonReport:
                        if math.isclose(k[0], cell.r, rel_tol=1e-12) and k[1] == cell.n1)
         for coeff in COEFFICIENTS:
             stats = cell.stats[coeff]
-            ref_bias, ref_mse, _ = REFERENCE_CELLS[ref_key][coeff]
+            ref_bias, ref_mse = REFERENCE_CELLS[ref_key][coeff]
             tolerance = max(TOLERANCE_FLOOR, 3.0 * stats.mc_se)
             for metric, empirical, reference in (
                 ("bias", stats.bias, ref_bias),

@@ -39,6 +39,5 @@ def exact_moments(default_table, bench_oracles):
     cfg = default_table.config
     assert cfg.r_values == bench_oracles.STUDY_R
     assert cfg.size_pairs == tuple((n, n) for n in bench_oracles.STUDY_N)
-    assert not cfg.lambda_uses_corrected_ratio
     moments = bench_oracles.exact_study_moments(cfg.replications)
     return {cell: (m["bias"], m["mse"]) for cell, m in moments.items()}

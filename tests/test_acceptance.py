@@ -23,6 +23,7 @@ import numpy as np
 import pytest
 from scipy import special, stats
 
+from anchors import ANCHORS
 from expoverlap.confidence import all_ovl_cis, ratio_ci
 from expoverlap.distributions import SeededStream, f_cdf, f_quantile, sample_exponential
 from expoverlap.estimation import taylor_variances, variance_factor
@@ -48,13 +49,8 @@ def _verdict(num: int, name: str, failures: list[str]) -> None:
 # 1 ---------------------------------------------------------------------------
 
 def test_criterion_1_closed_form_anchors():
-    expected = {
-        0.2: (0.465, 0.745, 0.556, 0.238),
-        0.5: (0.750, 0.943, 0.889, 0.667),
-        0.8: (0.918, 0.994, 0.988, 0.952),
-    }
     failures = []
-    for r, ref in expected.items():
+    for r, ref in ANCHORS.items():
         got = tuple(round(v, 3) for v in overlap_quartet(r).values())
         if got != ref:
             failures.append(f"quartet({r}) = {got}, expected {ref}")

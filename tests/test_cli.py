@@ -225,20 +225,14 @@ def test_curves_lambda_is_rho_squared(runner):
         assert abs(lam - rho ** 2) <= 1e-12
 
 
-def test_curves_svg(runner, tmp_path):
-    svg = tmp_path / "curves.svg"
-    res = runner.invoke(main, ["curves", "--r-min", "0.1", "--r-max", "3.0",
-                               "--points", "30", "--svg", str(svg)])
-    assert res.exit_code == 0
-    text = svg.read_text()
-    assert text.startswith("<svg")
-    assert text.count("<polyline") == 4
-
-
-def test_curves_usage_errors(runner):
+def test_curves_usage_errors(runner, tmp_path):
     assert runner.invoke(main, ["curves", "--r-min", "2", "--r-max", "1"]).exit_code == 2
     assert runner.invoke(main, ["curves", "--r-min", "0.5", "--r-max", "2",
                                 "--points", "1"]).exit_code == 2
+    svg = tmp_path / "x.svg"
+    assert runner.invoke(main, ["curves", "--r-min", "0.5", "--r-max", "2",
+                                "--svg", str(svg)]).exit_code == 2
+    assert not svg.exists()
 
 
 # --- simulate ---------------------------------------------------------------------
@@ -272,6 +266,12 @@ def test_simulate_rejects_bad_config(runner, tmp_path):
     res = runner.invoke(main, ["--output", str(tmp_path / "y"), "simulate",
                                "--n", "2", "--reps", "10"])
     assert res.exit_code == 3
+    for removed in (["--theta2", "2"], ["--lambda-corrected"]):
+        out = tmp_path / removed[0].lstrip("-")
+        res = runner.invoke(main, ["--output", str(out), "simulate", "--r", "0.5",
+                                   "--n", "10", "--reps", "10", *removed])
+        assert res.exit_code == 2
+        assert not out.exists()
 
 
 def test_simulate_default_grid_verdict_matches_exit(runner, tmp_path):
@@ -304,18 +304,21 @@ def test_output_flag_writes_file(runner, tmp_path, constant_files):
     assert json.loads(dest.read_text())["r_hat"] == 1.0
 
 
-def test_simulate_lambda_corrected_flag(runner, tmp_path):
-    args = ["simulate", "--r", "0.5", "--n", "10", "--reps", "40", "--seed", "3"]
-    out_a, out_b = tmp_path / "a", tmp_path / "b"
-    assert runner.invoke(main, ["--output", str(out_a), *args]).exit_code == 0
-    assert runner.invoke(main, ["--output", str(out_b), *args,
-                                "--lambda-corrected"]).exit_code == 0
-    rows_a = {(r["coefficient"]): r for r in
-              csv.DictReader((out_a / "cells.csv").open())}
-    rows_b = {(r["coefficient"]): r for r in
-              csv.DictReader((out_b / "cells.csv").open())}
-    assert rows_a["delta"]["bias"] == rows_b["delta"]["bias"]
-    assert rows_a["kl_lambda"]["bias"] != rows_b["kl_lambda"]["bias"]
+def test_output_unwritable_file_is_input_error(runner, tmp_path, constant_files):
+    dest = tmp_path / "missing" / "x.json"
+    res = runner.invoke(main, ["--output", str(dest), "estimate", *constant_files])
+    assert res.exit_code == 2
+    assert f"error: {dest}: No such file or directory" in res.output
+
+
+def test_simulate_output_on_a_file_is_input_error(runner, tmp_path):
+    dest = tmp_path / "taken"
+    dest.write_text("")
+    res = runner.invoke(main, ["--output", str(dest), "simulate", "--r", "0.5",
+                               "--n", "10", "--reps", "10"])
+    assert res.exit_code == 2
+    assert f"error: {dest}: File exists" in res.output
+    assert dest.read_text() == ""
 
 
 # --- check --------------------------------------------------------------------------
@@ -328,6 +331,16 @@ def test_check_passes_clean_build(runner):
     assert len(payload["suites"]) == 5
     for suite in payload["suites"]:
         assert list(suite) == ["name", "passed", "n_checks", "failures"]
+
+
+def test_check_table_honours_output(runner, tmp_path):
+    dest = tmp_path / "check.txt"
+    res = runner.invoke(main, ["--output", str(dest), "check", "--seed", "7"])
+    assert res.exit_code == 0, res.output
+    assert res.output == ""
+    stdout = runner.invoke(main, ["check", "--seed", "7"]).output
+    assert dest.read_text() == stdout
+    assert stdout.count(" PASS  (") == 5
 
 
 def test_check_rejects_negative_seed(runner):

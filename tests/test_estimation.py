@@ -92,11 +92,9 @@ def test_point_estimates_table_values():
 
 
 def test_kl_estimate_uses_uncorrected_ratio_by_default():
-    default = ovl_point_estimates(0.5, 0.475)
-    switched = ovl_point_estimates(0.5, 0.475, lambda_uses_corrected_ratio=True)
-    assert default["kl_lambda"] == MEASURES["kl_lambda"](0.5)
-    assert switched["kl_lambda"] == MEASURES["kl_lambda"](0.475)
-    assert default["delta"] == switched["delta"]  # the other three always use r_star
+    points = ovl_point_estimates(0.5, 0.475)
+    assert points["kl_lambda"] == MEASURES["kl_lambda"](0.5)
+    assert points["delta"] == MEASURES["delta"](0.475)  # the other three use r_star
 
 
 # --- variance approximations -----------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from anchors import ANCHORS
 from expoverlap.measures import (
     COEFFICIENTS,
     MEASURES,
@@ -17,13 +18,6 @@ from expoverlap.measures import (
     overlap_quartet,
     weitzman_delta,
 )
-
-# 3-decimal reference values of the quartet at the study ratios
-ANCHORS = {
-    0.2: (0.465, 0.745, 0.556, 0.238),
-    0.5: (0.750, 0.943, 0.889, 0.667),
-    0.8: (0.918, 0.994, 0.988, 0.952),
-}
 
 ratios = st.floats(min_value=1e-3, max_value=1e3)
 

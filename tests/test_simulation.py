@@ -43,8 +43,6 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         SimConfig(r_values=(0.0,))
     with pytest.raises(ConfigError):
-        SimConfig(theta2=-1.0)
-    with pytest.raises(ConfigError):
         SimConfig(size_pairs=())
 
 
@@ -194,6 +192,7 @@ def test_compare_requires_reference_grid(small_table):
 def test_reference_table_shape():
     assert len(REFERENCE_CELLS) == 15
     assert all(len(v) == 4 for v in REFERENCE_CELLS.values())
+    assert all(len(pair) == 2 for v in REFERENCE_CELLS.values() for pair in v.values())
     assert len(EXCLUDED_CELLS) == 2
 
 
