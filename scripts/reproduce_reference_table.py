@@ -23,24 +23,17 @@ def main() -> int:
     table = run_study(cfg)
     comparison = compare_to_reference(table)
 
-    by_cell = {}
-    for e in comparison.entries:
-        by_cell.setdefault((e.r, e.n, e.coefficient), {})[e.metric] = e
-
+    entries = {(e.r, e.n, e.coefficient, e.metric): e for e in comparison.entries}
     header = f"{'r':>5} {'n':>4} {'coeff':<10} " \
              f"{'bias':>8} {'ref':>8} {'mse':>8} {'ref':>8}  flags"
     print(header)
     print("-" * len(header))
     for cell in table.cells:
         for coeff in COEFFICIENTS:
-            b = by_cell[(cell.r, cell.n1, coeff)]["bias"]
-            m = by_cell[(cell.r, cell.n1, coeff)]["mse"]
-            flags = []
-            for entry in (b, m):
-                if entry.excluded:
-                    flags.append(f"{entry.metric}:excluded")
-                elif not entry.passed:
-                    flags.append(f"{entry.metric}:off-by-{entry.abs_diff:.3f}")
+            b, m = (entries[(cell.r, cell.n1, coeff, metric)] for metric in ("bias", "mse"))
+            flags = [f"{e.metric}:excluded" if e.excluded
+                     else f"{e.metric}:off-by-{e.abs_diff:.3f}"
+                     for e in (b, m) if e.excluded or not e.passed]
             print(f"{cell.r:>5.1f} {cell.n1:>4d} {coeff:<10} "
                   f"{b.empirical:>8.3f} {b.reference:>8.3f} "
                   f"{m.empirical:>8.3f} {m.reference:>8.3f}  {' '.join(flags)}")

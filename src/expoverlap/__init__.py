@@ -15,7 +15,6 @@ from .distributions import (
     f_quantile,
     ks_critical_value,
     ks_statistic,
-    reciprocal_f_identity_check,
     regularized_incomplete_beta,
     sample_exponential,
 )
@@ -38,7 +37,6 @@ from .estimation import (
 from .measures import (
     COEFFICIENTS,
     MEASURES,
-    QuadratureNonConvergence,
     kl_lambda,
     matusita_rho,
     morisita_lambda,
@@ -50,7 +48,6 @@ from .simulation import (
     DEFAULT_SEED,
     ComparisonReport,
     ConfigError,
-    GridMismatch,
     SimCell,
     SimConfig,
     SimulationTable,

@@ -24,6 +24,7 @@ import io
 import json
 import math
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -32,9 +33,9 @@ import numpy as np
 
 from . import checks, confidence, estimation, measures, simulation
 from .distributions import NonConvergence
-from .estimation import EmptySample, InsufficientSampleSize, NonPositiveObservation, TwoSample
-from .measures import COEFFICIENTS, QuadratureNonConvergence
-from .simulation import DEFAULT_SEED, ConfigError, GridMismatch, SimConfig
+from .estimation import InsufficientSampleSize, TwoSample
+from .measures import COEFFICIENTS
+from .simulation import DEFAULT_SEED, ConfigError, SimConfig
 
 EXIT_INPUT = 2
 EXIT_INSUFFICIENT = 3
@@ -55,13 +56,19 @@ class OutputPathError(Exception):
 EXIT_CODES = {
     SampleFileError: EXIT_INPUT,
     OutputPathError: EXIT_INPUT,
-    EmptySample: EXIT_INPUT,
-    NonPositiveObservation: EXIT_INPUT,
     InsufficientSampleSize: EXIT_INSUFFICIENT,
     ConfigError: EXIT_INSUFFICIENT,
     NonConvergence: EXIT_NONCONVERGENCE,
-    QuadratureNonConvergence: EXIT_NONCONVERGENCE,
 }
+
+
+@contextmanager
+def _writing(name=None):
+    """Turn an OSError into OutputPathError naming ``name``, else the failed file."""
+    try:
+        yield
+    except OSError as exc:
+        raise OutputPathError(f"{name or exc.filename}: {exc.strerror or exc}") from exc
 
 
 def read_sample_file(path: str) -> np.ndarray:
@@ -103,10 +110,8 @@ class OutputSpec:
         if self.destination == "-":
             click.echo(text, nl=not text.endswith("\n"))
         else:
-            try:
+            with _writing(self.destination):
                 Path(self.destination).write_text(text if text.endswith("\n") else text + "\n")
-            except OSError as exc:
-                raise OutputPathError(f"{self.destination}: {exc.strerror or exc}") from exc
 
 
 def _csv_text(header, rows) -> str:
@@ -133,7 +138,8 @@ class _Main(click.Group):
 
 @click.group(cls=_Main, context_settings={"help_option_names": ["-h", "--help"]})
 @click.option("--format", "fmt", type=click.Choice(["table", "csv", "json"]),
-              default="table", show_default=True, help="Output format.")
+              default="table", show_default=True,
+              help="Output format; `check` and `simulate` print their table under csv.")
 @click.option("--output", default="-", show_default=True,
               help="Output path, or '-' for standard output; "
                    "`simulate` treats it as a directory.")
@@ -152,7 +158,7 @@ def _render_estimate_table(report: estimation.EstimateReport) -> str:
         f"n1 = {report.ratio.n1}, n2 = {report.ratio.n2}",
         f"theta1_hat = {report.ratio.theta1_hat:.6g}   theta2_hat = {report.ratio.theta2_hat:.6g}",
         f"r_hat = {report.ratio.r_hat:.6g}   r_hat_star = {report.ratio.r_hat_star:.6g}"
-        f"   var(r_hat_star) = {report.ratio.var_r_hat_star:.6g}",
+        f"   var(r_hat_star) = {report.var_r_hat_star:.6g}",
         "",
         f"{'coefficient':<20}{'estimate':>10}{'approx var':>14}{'approx bias':>14}",
     ]
@@ -181,7 +187,7 @@ def estimate(out: OutputSpec, file1: str, file2: str) -> None:
              ("theta2_hat", _full(report.ratio.theta2_hat)),
              ("r_hat", _full(report.ratio.r_hat)),
              ("r_hat_star", _full(report.ratio.r_hat_star)),
-             ("var_r_hat_star", _full(report.ratio.var_r_hat_star))])
+             ("var_r_hat_star", _full(report.var_r_hat_star))])
         out.write(prefix + _csv_text(
             ("coefficient", "estimate", "approx_variance", "approx_bias"), rows))
     else:
@@ -296,21 +302,17 @@ def simulate(out: OutputSpec, r_text: str | None, n_text: str | None,
     cfg = SimConfig(**kwargs)
 
     out_dir = Path("simulation_output" if out.destination == "-" else out.destination)
-    try:
+    with _writing(out_dir):
         out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise OutputPathError(f"{out_dir}: {exc.strerror or exc}") from exc
 
     table = simulation.run_study(cfg)
-    try:
-        comparison = simulation.compare_to_reference(table)
-    except GridMismatch:
-        comparison = None
+    comparison = simulation.compare_to_reference(table)
     theory = simulation.theoretical_vs_empirical(table)
 
-    simulation.write_cells_csv(table, comparison, out_dir / "cells.csv")
-    simulation.write_figure_csvs(table, out_dir)
-    simulation.write_summary_json(table, comparison, theory, out_dir / "summary.json")
+    with _writing():
+        simulation.write_cells_csv(table, comparison, out_dir / "cells.csv")
+        simulation.write_figure_csvs(table, out_dir)
+        simulation.write_summary_json(table, comparison, theory, out_dir / "summary.json")
 
     if comparison is None:
         verdict = "reference comparison skipped (non-reference grid)"

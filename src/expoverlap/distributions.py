@@ -288,13 +288,6 @@ def f_quantile(d1: int, d2: int, prob: float) -> float:
     return 1.0 / x if swap else x
 
 
-def reciprocal_f_identity_check(d1: int, d2: int, prob: float) -> bool:
-    """Verify F_q(d1, d2; p) == 1 / F_q(d2, d1; 1-p) to relative tolerance 1e-9."""
-    q = f_quantile(d1, d2, prob)
-    q_swapped = f_quantile(d2, d1, 1.0 - prob)
-    return abs(q * q_swapped - 1.0) <= 1e-9 * max(1.0, abs(q * q_swapped))
-
-
 # ---------------------------------------------------------------------------
 # Gamma (Erlang) law of the exponential sample mean, KS helpers
 # ---------------------------------------------------------------------------

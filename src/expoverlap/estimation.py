@@ -69,11 +69,7 @@ class TwoSample:
 
 @dataclass(frozen=True)
 class RatioEstimates:
-    """Ratio estimates and the variance of the corrected ratio.
-
-    var_r_hat_star is the plug-in evaluation of the exact variance formula
-    at R = r_hat_star; it is None when n2 <= 2 (the formula needs n2 > 2).
-    """
+    """Sample means, sizes and the two ratio estimates."""
 
     theta1_hat: float
     theta2_hat: float
@@ -81,7 +77,6 @@ class RatioEstimates:
     n2: int
     r_hat: float
     r_hat_star: float
-    var_r_hat_star: float | None
 
 
 def mle_thetas(sample: TwoSample) -> tuple[float, float]:
@@ -107,12 +102,9 @@ def corrected_ratio(r_hat, n2: int):
 
 def ratio_estimates(sample: TwoSample) -> RatioEstimates:
     th1, th2 = mle_thetas(sample)
-    n1, n2 = sample.n1, sample.n2
     r_hat = th1 / th2
-    r_star = corrected_ratio(r_hat, n2)
-    var = r_star ** 2 * variance_factor(n1, n2) if n2 > 2 else None
-    return RatioEstimates(theta1_hat=th1, theta2_hat=th2, n1=n1, n2=n2,
-                          r_hat=r_hat, r_hat_star=r_star, var_r_hat_star=var)
+    return RatioEstimates(theta1_hat=th1, theta2_hat=th2, n1=sample.n1, n2=sample.n2,
+                          r_hat=r_hat, r_hat_star=corrected_ratio(r_hat, sample.n2))
 
 
 def ovl_point_estimates(r_hat, r_star) -> dict:
@@ -223,9 +215,11 @@ class EstimateReport:
     Variances and biases are plug-in values: the expansion formulas evaluated
     at r_hat_star (the published recipe substitutes the consistent estimator
     for R, and the same rule is applied to all four coefficients).
+    var_r_hat_star is the exact variance formula of R* evaluated there.
     """
 
     ratio: RatioEstimates
+    var_r_hat_star: float
     points: dict[str, float]
     variances: dict[str, float] = field(repr=False)
     biases: dict[str, float] = field(repr=False)
@@ -238,7 +232,7 @@ class EstimateReport:
             "theta2_hat": self.ratio.theta2_hat,
             "r_hat": self.ratio.r_hat,
             "r_hat_star": self.ratio.r_hat_star,
-            "var_r_hat_star": self.ratio.var_r_hat_star,
+            "var_r_hat_star": self.var_r_hat_star,
             "points": dict(self.points),
             "variances": dict(self.variances),
             "biases": dict(self.biases),
@@ -259,6 +253,7 @@ def estimate_report(sample: TwoSample) -> EstimateReport:
     r_star = est.r_hat_star
     return EstimateReport(
         ratio=est,
+        var_r_hat_star=r_star ** 2 * variance_factor(sample.n1, sample.n2),
         points=ovl_point_estimates(est.r_hat, r_star),
         variances=taylor_variances(r_star, sample.n1, sample.n2),
         biases=taylor_biases(r_star, sample.n1, sample.n2),

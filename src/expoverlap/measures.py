@@ -25,12 +25,10 @@ import math
 
 import numpy as np
 
+from .distributions import NonConvergence
+
 #: Canonical coefficient keys, used for dict results, CSV columns and CLI output.
 COEFFICIENTS = ("delta", "rho", "lambda", "kl_lambda")
-
-
-class QuadratureNonConvergence(RuntimeError):
-    """Adaptive quadrature failed to reach the error target within budget."""
 
 
 def _as_ratio(r):
@@ -165,7 +163,7 @@ def integrate_adaptive(f, a: float, b: float, tol: float = 1e-10,
     error estimate drops below tol.  ``initial_points`` seeds extra interval
     boundaries, useful when the mass of the integrand is far from uniform.
 
-    Raises QuadratureNonConvergence when the subdivision budget is exhausted.
+    Raises NonConvergence when the subdivision budget is exhausted.
     """
     pts = sorted({float(a), float(b), *(float(p) for p in (initial_points or ()))})
     pts = [p for p in pts if a <= p <= b]
@@ -181,7 +179,7 @@ def integrate_adaptive(f, a: float, b: float, tol: float = 1e-10,
     splits = 0
     while total_err > tol:
         if splits >= max_subdivisions:
-            raise QuadratureNonConvergence(
+            raise NonConvergence(
                 f"error estimate {total_err:.3e} above tol {tol:.3e} "
                 f"after {splits} subdivisions")
         neg_err, _, left, right, _ = heapq.heappop(heap)
@@ -220,7 +218,7 @@ def overlap_by_quadrature(rate1: float, rate2: float, which: str) -> float:
     Raises:
         ValueError: unknown coefficient key, or a rate that is not strictly
             positive and finite.
-        QuadratureNonConvergence: budget exhausted before reaching the target.
+        NonConvergence: budget exhausted before reaching the target.
     """
     if which not in COEFFICIENTS:
         raise ValueError(f"unknown coefficient {which!r}, expected one of {COEFFICIENTS}")

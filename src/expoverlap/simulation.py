@@ -56,10 +56,6 @@ class ConfigError(ValueError):
     """Invalid simulation configuration."""
 
 
-class GridMismatch(ValueError):
-    """The simulated grid does not match the reference grid."""
-
-
 @dataclass(frozen=True)
 class SimConfig:
     """Study design: grid, replication count and seed.
@@ -239,11 +235,11 @@ class ComparisonEntry:
 @dataclass(frozen=True)
 class ComparisonReport:
     entries: list[ComparisonEntry] = field(repr=False)
-    n_compared: int = 0
-    n_passed: int = 0
-    n_excluded: int = 0
-    pass_fraction: float = 0.0
-    overall_pass: bool = False
+    n_compared: int
+    n_passed: int
+    n_excluded: int
+    pass_fraction: float
+    overall_pass: bool
 
     def to_dict(self) -> dict:
         return {
@@ -266,48 +262,37 @@ def _is_reference_grid(cfg: SimConfig) -> bool:
     return sorted(cfg.size_pairs) == [(n, n) for n in REFERENCE_SAMPLE_SIZES]
 
 
-def compare_to_reference(table: SimulationTable) -> ComparisonReport:
+def compare_to_reference(table: SimulationTable) -> ComparisonReport | None:
     """Grade a default-grid study against the embedded reference values.
 
     Per cell, coefficient and metric (bias, mse) the check is
     |empirical - reference| <= max(0.01, 3 * mc_se); excluded cells are
-    reported but not graded.  Raises GridMismatch off the reference grid.
+    reported but not graded.  Returns None off the reference grid.
     """
     if not _is_reference_grid(table.config):
-        raise GridMismatch(
-            f"reference comparison needs the grid {REFERENCE_R_VALUES} x "
-            f"{REFERENCE_SAMPLE_SIZES} with equal sample sizes")
+        return None
 
     entries: list[ComparisonEntry] = []
-    n_compared = n_passed = n_excluded = 0
     for cell in table.cells:
         ref_key = next(k for k in REFERENCE_CELLS
                        if math.isclose(k[0], cell.r, rel_tol=1e-12) and k[1] == cell.n1)
         for coeff in COEFFICIENTS:
             stats = cell.stats[coeff]
-            ref_bias, ref_mse = REFERENCE_CELLS[ref_key][coeff]
             tolerance = max(TOLERANCE_FLOOR, 3.0 * stats.mc_se)
-            for metric, empirical, reference in (
-                ("bias", stats.bias, ref_bias),
-                ("mse", stats.mse, ref_mse),
-            ):
-                excluded = (ref_key[0], ref_key[1], coeff, metric) in EXCLUDED_CELLS
+            for metric, empirical, reference in zip(
+                    ("bias", "mse"), (stats.bias, stats.mse), REFERENCE_CELLS[ref_key][coeff]):
                 diff = abs(empirical - reference)
-                passed = diff <= tolerance
                 entries.append(ComparisonEntry(
                     r=cell.r, n=cell.n1, coefficient=coeff, metric=metric,
                     empirical=empirical, reference=reference, abs_diff=diff,
-                    tolerance=tolerance, passed=passed, excluded=excluded))
-                if excluded:
-                    n_excluded += 1
-                else:
-                    n_compared += 1
-                    n_passed += passed
+                    tolerance=tolerance, passed=diff <= tolerance,
+                    excluded=(*ref_key, coeff, metric) in EXCLUDED_CELLS))
 
-    fraction = n_passed / n_compared if n_compared else 0.0
-    return ComparisonReport(entries=entries, n_compared=n_compared,
-                            n_passed=n_passed, n_excluded=n_excluded,
-                            pass_fraction=fraction,
+    graded = [e for e in entries if not e.excluded]
+    n_passed = sum(e.passed for e in graded)
+    fraction = n_passed / len(graded) if graded else 0.0
+    return ComparisonReport(entries=entries, n_compared=len(graded), n_passed=n_passed,
+                            n_excluded=len(entries) - len(graded), pass_fraction=fraction,
                             overall_pass=fraction >= PASS_FRACTION_REQUIRED)
 
 
@@ -392,19 +377,10 @@ def _fmt(value: float) -> str:
 
 def write_cells_csv(table: SimulationTable, comparison: ComparisonReport | None,
                     path: str | Path) -> Path:
-    """One row per cell x coefficient, full precision, fixed column order."""
-    verdicts: dict[tuple[float, int, str], tuple[float, float, bool]] = {}
-    if comparison is not None:
-        grouped: dict[tuple[float, int, str], dict[str, ComparisonEntry]] = {}
-        for e in comparison.entries:
-            grouped.setdefault((e.r, e.n, e.coefficient), {})[e.metric] = e
-        for key, metrics in grouped.items():
-            graded = [m for m in metrics.values() if not m.excluded]
-            verdicts[key] = (
-                metrics["bias"].reference,
-                metrics["mse"].reference,
-                all(m.passed for m in graded),
-            )
+    """One row per cell x coefficient, full precision, fixed column order; a
+    graded cell passes when each of its non-excluded entries does."""
+    entries = {(e.r, e.n, e.coefficient, e.metric): e
+               for e in (comparison.entries if comparison else ())}
     path = Path(path)
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
@@ -412,13 +388,13 @@ def write_cells_csv(table: SimulationTable, comparison: ComparisonReport | None,
         for cell in table.cells:
             for coeff in COEFFICIENTS:
                 s = cell.stats[coeff]
-                ref = verdicts.get((cell.r, cell.n1, coeff))
+                bias, mse = (entries.get((cell.r, cell.n1, coeff, m)) for m in ("bias", "mse"))
+                grade = ["", "", ""] if bias is None else [
+                    _fmt(bias.reference), _fmt(mse.reference),
+                    "true" if all(e.passed for e in (bias, mse) if not e.excluded) else "false"]
                 writer.writerow([
                     _fmt(cell.r), cell.n1, coeff,
-                    _fmt(s.bias), _fmt(s.mse), _fmt(s.ratio_bias_sigma), _fmt(s.mc_se),
-                    _fmt(ref[0]) if ref else "",
-                    _fmt(ref[1]) if ref else "",
-                    ("true" if ref[2] else "false") if ref else "",
+                    _fmt(s.bias), _fmt(s.mse), _fmt(s.ratio_bias_sigma), _fmt(s.mc_se), *grade,
                 ])
     return path
 

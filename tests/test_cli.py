@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from expoverlap import confidence, measures
+from expoverlap import checks, confidence, distributions, measures
 from expoverlap.cli import SampleFileError, main, read_sample_file
 from expoverlap.distributions import NonConvergence, SeededStream, sample_exponential
 from expoverlap.estimation import TwoSample, estimate_report
 from expoverlap.measures import COEFFICIENTS
+from expoverlap.simulation import DEFAULT_SEED
 
 
 @pytest.fixture()
@@ -321,6 +322,14 @@ def test_simulate_output_on_a_file_is_input_error(runner, tmp_path):
     assert dest.read_text() == ""
 
 
+def test_simulate_unwritable_result_file_is_input_error(runner, tmp_path):
+    (tmp_path / "cells.csv").mkdir()
+    res = runner.invoke(main, ["--output", str(tmp_path), "simulate", "--r", "0.5",
+                               "--n", "10", "--reps", "10"])
+    assert res.exit_code == 2
+    assert f"error: {tmp_path / 'cells.csv'}: Is a directory" in res.output
+
+
 # --- check --------------------------------------------------------------------------
 
 def test_check_passes_clean_build(runner):
@@ -331,6 +340,9 @@ def test_check_passes_clean_build(runner):
     assert len(payload["suites"]) == 5
     for suite in payload["suites"]:
         assert list(suite) == ["name", "passed", "n_checks", "failures"]
+    assert {s["name"]: s["n_checks"] for s in payload["suites"]} == {
+        "closed_form_anchors": 12, "oracle_equivalence": 200, "structural_properties": 20,
+        "quantile_accuracy": 105, "distribution_laws": 4}
 
 
 def test_check_table_honours_output(runner, tmp_path):
@@ -341,6 +353,22 @@ def test_check_table_honours_output(runner, tmp_path):
     stdout = runner.invoke(main, ["check", "--seed", "7"]).output
     assert dest.read_text() == stdout
     assert stdout.count(" PASS  (") == 5
+
+
+@pytest.mark.parametrize("target, patched, gates", [
+    ("erlang_cdf", lambda cdf: lambda k, scale, x: cdf(k, 1.05 * scale, x), {"gamma_ks"}),
+    ("f_cdf", lambda cdf: lambda d1, d2, x: cdf(d1, d2, 1.05 * x), {"f_ks"}),
+    ("sample_exponential", lambda draw: lambda stream, theta, n: draw(stream, 1.03 * theta, n),
+     {"mean", "variance", "gamma_ks"}),
+])
+def test_sampling_law_failures_name_their_gate(monkeypatch, bench_oracles, target, patched,
+                                               gates):
+    monkeypatch.setattr(checks, target, patched(getattr(distributions, target)))
+    result = checks.suite_distribution_laws(DEFAULT_SEED)
+    assert result.n_checks == 4 and not result.passed
+    reported = {gate for gate, prefix in bench_oracles.LAW_GATES.items()
+                if any(f.startswith(prefix) for f in result.failures)}
+    assert reported == gates and len(result.failures) == len(gates)
 
 
 def test_check_rejects_negative_seed(runner):

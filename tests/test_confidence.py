@@ -13,14 +13,13 @@ from expoverlap.confidence import (
     ratio_ci,
 )
 from expoverlap.distributions import SeededStream, f_quantile, sample_exponential
-from expoverlap.estimation import RatioEstimates
+from expoverlap.estimation import RatioEstimates, TwoSample, ratio_estimates
 from expoverlap.measures import COEFFICIENTS, MEASURES
 
 
 def _estimates(r_hat, n1=10, n2=10):
     return RatioEstimates(theta1_hat=r_hat, theta2_hat=1.0, n1=n1, n2=n2,
-                          r_hat=r_hat, r_hat_star=r_hat * (n2 - 1) / n2,
-                          var_r_hat_star=None)
+                          r_hat=r_hat, r_hat_star=r_hat * (n2 - 1) / n2)
 
 
 def _ratio_interval(lower, upper, level=0.95):
@@ -35,6 +34,18 @@ def test_ratio_ci_f_table_anchor():
     assert ci.contains_one
     # endpoints come from the same quantile via the reciprocal identity
     assert abs(ci.lower * ci.upper - 1.0) <= 1e-9
+
+
+def test_ratio_ci_at_huge_ratio_is_finite():
+    # r_hat ~ 7.7e199: the squared ratio overflows, and the interval never needs it
+    x1 = 7.7e199 * sample_exponential(SeededStream(4, 0), 1.0, 40)
+    x2 = sample_exponential(SeededStream(4, 1), 1.0, 40)
+    estimates = ratio_estimates(TwoSample(x1, x2))
+    assert 1e199 < estimates.r_hat < 1e201
+    ci = ratio_ci(estimates, level=0.95)
+    assert math.isfinite(ci.lower) and math.isfinite(ci.upper)
+    assert 0.0 < ci.lower < estimates.r_hat < ci.upper
+    assert not ci.contains_one
 
 
 def test_ratio_ci_scales_linearly():

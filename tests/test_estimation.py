@@ -57,14 +57,9 @@ def test_ratio_estimates_definition():
 
 def test_ratio_variance_plug_in():
     # means 10 and 19 with n=20 give r_hat_star exactly 0.5
-    est = ratio_estimates(TwoSample([10.0] * 20, [19.0] * 20))
-    assert est.r_hat_star == 0.5
-    assert abs(est.var_r_hat_star - 0.25 * 39.0 / 360.0) <= 1e-15
-
-
-def test_ratio_variance_unavailable_below_three():
-    est = ratio_estimates(TwoSample([1.0] * 5, [1.0, 2.0]))
-    assert est.var_r_hat_star is None
+    report = estimate_report(TwoSample([10.0] * 20, [19.0] * 20))
+    assert report.ratio.r_hat_star == 0.5
+    assert abs(report.var_r_hat_star - 0.25 * 39.0 / 360.0) <= 1e-15
 
 
 def test_corrected_ratio_is_unbiased():

@@ -6,10 +6,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from anchors import ANCHORS
+from expoverlap.distributions import NonConvergence
 from expoverlap.measures import (
     COEFFICIENTS,
     MEASURES,
-    QuadratureNonConvergence,
     integrate_adaptive,
     kl_lambda,
     matusita_rho,
@@ -134,7 +134,7 @@ def test_oracle_rejects_unknown_key():
 def test_quadrature_budget_exhaustion():
     # the delta integrand at rates (1, 7), kink and all, cannot reach 1e-13
     # in one subdivision
-    with pytest.raises(QuadratureNonConvergence):
+    with pytest.raises(NonConvergence):
         integrate_adaptive(lambda x: np.minimum(np.exp(-x), 7.0 * np.exp(-7.0 * x)),
                            0.0, 50.0, tol=1e-13, max_subdivisions=1)
 
