@@ -35,7 +35,7 @@ from . import checks, confidence, estimation, measures, simulation
 from .distributions import NonConvergence
 from .estimation import InsufficientSampleSize, TwoSample
 from .measures import COEFFICIENTS
-from .simulation import DEFAULT_SEED, ConfigError, SimConfig
+from .simulation import DEFAULT_SEED, ConfigError, SimConfig, _fmt
 
 EXIT_INPUT = 2
 EXIT_INSUFFICIENT = 3
@@ -122,10 +122,6 @@ def _csv_text(header, rows) -> str:
     return buf.getvalue()
 
 
-def _full(value) -> str:
-    return repr(float(value))
-
-
 class _Main(click.Group):
     def invoke(self, ctx: click.Context):
         """Run the command; an error listed in EXIT_CODES ends it with its code."""
@@ -178,16 +174,16 @@ def estimate(out: OutputSpec, file1: str, file2: str) -> None:
     if out.format == "json":
         out.write(json.dumps(report.to_dict(), indent=2))
     elif out.format == "csv":
-        rows = [(key, _full(report.points[key]), _full(report.variances[key]),
-                 _full(report.biases[key])) for key in COEFFICIENTS]
+        rows = [(key, _fmt(report.points[key]), _fmt(report.variances[key]),
+                 _fmt(report.biases[key])) for key in COEFFICIENTS]
         prefix = _csv_text(
             ("quantity", "value"),
             [("n1", report.ratio.n1), ("n2", report.ratio.n2),
-             ("theta1_hat", _full(report.ratio.theta1_hat)),
-             ("theta2_hat", _full(report.ratio.theta2_hat)),
-             ("r_hat", _full(report.ratio.r_hat)),
-             ("r_hat_star", _full(report.ratio.r_hat_star)),
-             ("var_r_hat_star", _full(report.var_r_hat_star))])
+             ("theta1_hat", _fmt(report.ratio.theta1_hat)),
+             ("theta2_hat", _fmt(report.ratio.theta2_hat)),
+             ("r_hat", _fmt(report.ratio.r_hat)),
+             ("r_hat_star", _fmt(report.ratio.r_hat_star)),
+             ("var_r_hat_star", _fmt(report.var_r_hat_star))])
         out.write(prefix + _csv_text(
             ("coefficient", "estimate", "approx_variance", "approx_bias"), rows))
     else:
@@ -215,15 +211,17 @@ def ci(out: OutputSpec, file1: str, file2: str, level: float) -> None:
                    "coefficients": {k: v.to_dict() for k, v in ovl_ints.items()}}
         out.write(json.dumps(payload, indent=2))
     elif out.format == "csv":
-        rows = [("ratio", _full(r_int.lower), _full(r_int.upper),
+        rows = [("ratio", _fmt(r_int.lower), _fmt(r_int.upper),
                  str(r_int.contains_one).lower())]
-        rows += [(k, _full(v.lower), _full(v.upper), str(v.contains_one).lower())
+        rows += [(k, _fmt(v.lower), _fmt(v.upper), str(v.contains_one).lower())
                  for k, v in ovl_ints.items()]
         out.write(_csv_text(("target", "lower", "upper", "contains_one"), rows))
     else:
+        # the ratio limits take .6g like r_hat; the space keeps 12-character
+        # limits such as 1.46159e+100 apart
         lines = [f"{100 * level:g}% confidence intervals (r_hat = {estimates.r_hat:.6g})",
                  f"{'target':<20}{'lower':>10}{'upper':>10}",
-                 f"{'ratio':<20}{r_int.lower:>10.3f}{r_int.upper:>10.3f}"]
+                 f"{'ratio':<20}{r_int.lower:>10.6g} {r_int.upper:>9.6g}"]
         for key, interval in ovl_ints.items():
             lines.append(f"{key:<20}{interval.lower:>10.3f}{interval.upper:>10.3f}")
         if r_int.contains_one:
@@ -252,7 +250,7 @@ def curves(out: OutputSpec, r_min: float, r_max: float, points: int) -> None:
         payload.update({key: [float(v) for v in series[key]] for key in COEFFICIENTS})
         out.write(json.dumps(payload, indent=2))
     elif out.format == "csv":
-        rows = [(_full(r), *(_full(series[key][i]) for key in COEFFICIENTS))
+        rows = [(_fmt(r), *(_fmt(series[key][i]) for key in COEFFICIENTS))
                 for i, r in enumerate(rs)]
         out.write(_csv_text(("r",) + COEFFICIENTS, rows))
     else:

@@ -79,11 +79,6 @@ class RatioEstimates:
     r_hat_star: float
 
 
-def mle_thetas(sample: TwoSample) -> tuple[float, float]:
-    """Maximum likelihood estimates of the two means: the sample averages."""
-    return float(np.mean(sample.x1)), float(np.mean(sample.x2))
-
-
 def variance_factor(n1: int, n2: int) -> float:
     """(n1 + n2 - 1) / (n1 * (n2 - 2)), the common factor of all the
     approximation formulas.  Requires n2 > 2."""
@@ -101,7 +96,9 @@ def corrected_ratio(r_hat, n2: int):
 
 
 def ratio_estimates(sample: TwoSample) -> RatioEstimates:
-    th1, th2 = mle_thetas(sample)
+    """The sample averages (maximum likelihood estimates of the two means)
+    and the two ratio estimates."""
+    th1, th2 = float(np.mean(sample.x1)), float(np.mean(sample.x2))
     r_hat = th1 / th2
     return RatioEstimates(theta1_hat=th1, theta2_hat=th2, n1=sample.n1, n2=sample.n2,
                           r_hat=r_hat, r_hat_star=corrected_ratio(r_hat, sample.n2))
@@ -246,9 +243,6 @@ def estimate_report(sample: TwoSample) -> EstimateReport:
     Raises InsufficientSampleSize when n2 <= 2 (the variance formula divides
     by n2 - 2).
     """
-    if sample.n2 <= 2:
-        raise InsufficientSampleSize(
-            f"need n2 > 2 for variance and bias approximations, got n2={sample.n2}")
     est = ratio_estimates(sample)
     r_star = est.r_hat_star
     return EstimateReport(

@@ -20,6 +20,7 @@ calls the closed forms, so it serves as an independent oracle for them.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 
@@ -31,68 +32,60 @@ from .distributions import NonConvergence
 COEFFICIENTS = ("delta", "rho", "lambda", "kl_lambda")
 
 
-def _as_ratio(r):
-    """Validate a ratio argument; returns (ndarray, was_scalar)."""
-    arr = np.asarray(r, dtype=float)
-    if arr.size == 0:
-        raise ValueError("ratio argument is empty")
-    if not np.all(np.isfinite(arr)) or not np.all(arr > 0.0):
-        raise ValueError("ratio must be strictly positive and finite")
-    return arr, arr.ndim == 0
+def _closed_form(formula):
+    """Wrap a closed form of the ratio: reject an empty, non-positive or
+    non-finite ratio, clip the value to [0, 1] against sub-ulp excursions at
+    extreme ratios, and return a float for a float, an ndarray for an ndarray."""
+    @functools.wraps(formula)
+    def closed_form(r):
+        arr = np.asarray(r, dtype=float)
+        if arr.size == 0:
+            raise ValueError("ratio argument is empty")
+        if not np.all(np.isfinite(arr)) or not np.all(arr > 0.0):
+            raise ValueError("ratio must be strictly positive and finite")
+        val = np.clip(formula(arr), 0.0, 1.0)
+        return float(val) if arr.ndim == 0 else val
+    return closed_form
 
 
 def _log_ratio_over_gap(r: np.ndarray) -> np.ndarray:
-    """log(r) / (1 - r), with a series expansion near r = 1.
+    """log(r) / (1 - r), extended by continuity to -1 at r = 1.
 
-    The direct quotient is 0/0 at r = 1; for |r - 1| < 1e-6 use
-    -1 + t/2 - t^2/3 + t^3/4 with t = r - 1 (error below 1e-24 there).
+    1 - r is exact on [1/2, 2] (Sterbenz's lemma), so the plain quotient keeps
+    full relative accuracy right up to r = 1 +- 2**-52.
     """
-    t = r - 1.0
-    small = np.abs(t) < 1e-6
-    safe_r = np.where(small, 2.0, r)
-    safe_gap = np.where(small, 1.0, 1.0 - r)
-    direct = np.log(safe_r) / safe_gap
-    series = -1.0 + t / 2.0 - t * t / 3.0 + t * t * t / 4.0
-    return np.where(small, series, direct)
+    return np.divide(np.log(r), 1.0 - r, out=np.full_like(r, -1.0), where=r != 1.0)
 
 
+@_closed_form
 def weitzman_delta(r):
     """Weitzman overlap: the area under the pointwise minimum of the densities.
 
-    Returns 1 - |1 - 1/r| * r**(1/(1-r)), extended by continuity to 1 at r = 1.
+    Returns 1 - |1 - 1/r| * r**(1/(1-r)), which is exactly 1 at r = 1.
     Accepts a float or an ndarray of ratios.
     """
-    arr, scalar = _as_ratio(r)
-    q = _log_ratio_over_gap(arr)
-    val = 1.0 - np.abs(1.0 - 1.0 / arr) * np.exp(q)
-    # guard against sub-ulp excursions outside [0, 1] at extreme ratios
-    val = np.clip(val, 0.0, 1.0)
-    val = np.where(arr == 1.0, 1.0, val)
-    return float(val) if scalar else val
+    return 1.0 - np.abs(1.0 - 1.0 / r) * np.exp(_log_ratio_over_gap(r))
 
 
+@_closed_form
 def matusita_rho(r):
     """Matusita overlap 2*sqrt(r)/(1 + r) (the Bhattacharyya affinity)."""
-    arr, scalar = _as_ratio(r)
-    val = np.clip(2.0 * np.sqrt(arr) / (1.0 + arr), 0.0, 1.0)
-    return float(val) if scalar else val
+    return 2.0 * np.sqrt(r) / (1.0 + r)
 
 
+@_closed_form
 def morisita_lambda(r):
     """Morisita similarity index 4*r/(1 + r)**2."""
-    arr, scalar = _as_ratio(r)
-    val = np.clip(4.0 * arr / (1.0 + arr) ** 2, 0.0, 1.0)
-    return float(val) if scalar else val
+    return 4.0 * r / (1.0 + r) ** 2
 
 
+@_closed_form
 def kl_lambda(r):
     """Overlap 1 / (1 + J), J = (r - 1)^2 / r the symmetric KL divergence: r / (r^2 - r + 1).
 
     The denominator is positive for every real r, so there is no singularity.
     """
-    arr, scalar = _as_ratio(r)
-    val = np.clip(arr / (arr * arr - arr + 1.0), 0.0, 1.0)
-    return float(val) if scalar else val
+    return r / (r * r - r + 1.0)
 
 
 #: Coefficient key -> closed-form function of the ratio.

@@ -306,11 +306,7 @@ class TheoryComparisonReport:
     """Closed-form variance and both bias versions against simulation."""
 
     entries: list[dict] = field(repr=False)
-    closer_counts: dict[str, dict[str, int]] = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {"entries": list(self.entries),
-                "closer_counts": {k: dict(v) for k, v in self.closer_counts.items()}}
+    closer_counts: dict[str, dict[str, int]]
 
 
 def theoretical_vs_empirical(table: SimulationTable) -> TheoryComparisonReport:
@@ -429,7 +425,7 @@ def write_summary_json(table: SimulationTable, comparison: ComparisonReport | No
             for cell in table.cells
         ],
         "reference_comparison": comparison.to_dict() if comparison else None,
-        "theory_comparison": theory.to_dict() if theory else None,
+        "theory_comparison": asdict(theory) if theory else None,
     }
     path.write_text(json.dumps(payload, indent=2) + "\n")
     return path

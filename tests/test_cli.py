@@ -193,6 +193,18 @@ def test_ci_extreme_level_on_one_line_files(runner, tmp_path, level):
     assert math.isclose(ratio["upper"], 0.5 * (1.0 - a) / a, rel_tol=1e-9)
 
 
+def test_ci_table_ratio_row_at_huge_ratio(runner, tmp_path):
+    # r_hat = 9.4e99: fixed-point limits would run to ~100 digits each
+    f1 = _write_sample(tmp_path / "a.txt", [9.4e99] * 40)
+    f2 = _write_sample(tmp_path / "b.txt", [1.0] * 40)
+    res = runner.invoke(main, ["ci", f1, f2])
+    assert res.exit_code == 0
+    row = next(line for line in res.output.splitlines() if line.startswith("ratio"))
+    assert len(row) <= 45
+    ratio = json.loads(runner.invoke(main, ["--format", "json", "ci", f1, f2]).output)["ratio"]
+    assert row.split()[1:] == [f"{ratio['lower']:.6g}", f"{ratio['upper']:.6g}"]
+
+
 # --- curves ----------------------------------------------------------------------
 
 def test_curves_contains_unity_row(runner):

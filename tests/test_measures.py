@@ -1,5 +1,7 @@
 import math
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -10,6 +12,7 @@ from expoverlap.distributions import NonConvergence
 from expoverlap.measures import (
     COEFFICIENTS,
     MEASURES,
+    _log_ratio_over_gap,
     integrate_adaptive,
     kl_lambda,
     matusita_rho,
@@ -159,3 +162,38 @@ def test_vectorized_matches_scalar():
         assert vec.shape == grid.shape
         for i, r in enumerate(grid):
             assert vec[i] == fn(float(r))
+
+
+def _near_one():
+    """r = 1 +- 2**-k for k = 1..52, and r = 1 +- 10**-j for j = 3..7."""
+    gaps = [2.0 ** -k for k in range(1, 53)] + [10.0 ** -j for j in range(3, 8)]
+    return np.array([1.0 + s * g for g in gaps for s in (-1.0, 1.0)])
+
+
+def test_log_ratio_over_gap_matches_mpmath_near_one():
+    r = _near_one()
+    got = _log_ratio_over_gap(r)
+    with mpmath.workdps(50):
+        exact = [float(mpmath.log(mpmath.mpf(ri)) / (1 - mpmath.mpf(ri))) for ri in r]
+    for ri, gi, ei in zip(r, got, exact):
+        assert abs(gi - ei) <= 2 * np.spacing(abs(ei)), ri
+    assert _log_ratio_over_gap(np.array([1.0]))[0] == -1.0
+
+
+@pytest.mark.parametrize("fn", [weitzman_delta, matusita_rho])
+def test_closed_forms_quiet_over_full_range(fn):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        vals = fn(np.geomspace(1e-300, 1e300, 601))
+    assert np.all((vals >= 0.0) & (vals <= 1.0))
+
+
+def test_closed_form_wrapper_types():
+    grid = np.geomspace(0.1, 10.0, 6).reshape(2, 3)
+    for key, fn in MEASURES.items():
+        assert fn.__module__ == "expoverlap.measures" and fn.__doc__
+        assert type(fn(0.5)) is float
+        assert fn(grid).shape == (2, 3)
+        for bad in (np.array([]), np.array([0.5, math.nan])):
+            with pytest.raises(ValueError):
+                fn(bad)

@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import struct
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -251,7 +252,7 @@ def test_theory_report_schema(default_table):
     for key in COEFFICIENTS:
         assert sum(report.closer_counts[key].values()) == 15
     # the report is JSON-serializable as emitted
-    json.dumps(report.to_dict())
+    json.dumps(asdict(report))
 
 
 def test_theory_variances_track_empirical(default_table):
