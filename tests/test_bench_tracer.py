@@ -64,4 +64,8 @@ def test_tracer_counts_every_layer(tmp_path):
     assert metrics["distributions.streams"] == 43
     assert metrics["distributions.uniforms"] == 4_000_700
     assert metrics["distributions.f_quantile.calls"] == 110
+    # the solver's work: 334 f_cdf calls under the 110 quantiles, and every x
+    # the incomplete beta saw (the scalar ones and check's 1e5-point KS test)
+    assert metrics["distributions.f_cdf.per_quantile"] == 334 / 110
+    assert metrics["distributions.incomplete_beta.points"] == 100_434
     assert metrics["measures.quadrature.calls"] == 200

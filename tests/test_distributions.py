@@ -174,11 +174,17 @@ def test_beta_polynomial_oracle():
 def test_beta_validation():
     with pytest.raises(ValueError):
         regularized_incomplete_beta(0.0, 1.0, 0.5)
-    with pytest.raises(ValueError):
-        regularized_incomplete_beta(1.0, 1.0, 1.5)
-    for x in (math.nan, np.array([0.5, math.nan])):
+    for x in (1.5, -0.1, math.nan, np.array([0.5, math.nan]), np.array([0.5, 1.5])):
         with pytest.raises(ValueError):
             regularized_incomplete_beta(1.0, 1.0, x)
+
+
+def test_beta_and_f_cdf_at_negative_zero():
+    # -0.0 is a valid x, and I and F there are +0.0, sign bit clear
+    for got in (regularized_incomplete_beta(2.0, 3.0, -0.0), f_cdf(4, 6, -0.0),
+                regularized_incomplete_beta(2.0, 3.0, np.array([-0.0, 0.5]))[0],
+                f_cdf(4, 6, np.array([-0.0, 1.0]))[0]):
+        assert got == 0.0 and math.copysign(1.0, got) == 1.0
 
 
 @settings(max_examples=200, deadline=None)
@@ -235,6 +241,32 @@ def test_beta_vectorized():
     assert vec.shape == xs.shape
     for i, x in enumerate(xs):
         assert vec[i] == regularized_incomplete_beta(2.0, 3.0, float(x))
+    # A scalar x takes the np.float64 branch and gives the bits of a
+    # one-element array, over both front-factor forms (max(a, b) below 30 and
+    # from 30 on), both sides of the mode, within 1e-6 of it, and the ends.
+    # At (3107, 274) and x = 0.9113351840981234, libm pow and numpy's power
+    # give w^3 in _rlog1 bits that reach I_x on an AVX-512 numpy build.
+    # In a longer array the fraction runs until its slowest element converges,
+    # so an element may move from its lone value by a few times the 1e-15
+    # relative at which the fraction stops.
+    for a, b in ((2.0, 3.0), (0.5, 40.0), (3107.0, 274.0), (1e6, 23.5)):
+        mode = a / (a + b)
+        xs = np.array([0.0, 0.2, 0.8, 0.5 * mode, mode - 1e-6, mode - 3e-9, mode,
+                       mode + 3e-9, mode + 1e-6, 0.5 * (1.0 + mode), 0.9113351840981234, 1.0])
+        vec = regularized_incomplete_beta(a, b, xs)
+        for i, x in enumerate(xs):
+            got = regularized_incomplete_beta(a, b, float(x))
+            assert type(got) is float, (a, b, x)
+            assert got == regularized_incomplete_beta(a, b, xs[i:i + 1])[0], (a, b, x)
+            assert abs(got - vec[i]) <= 4e-15 * got, (a, b, x)
+    fs = np.array([0.0, 1e-3, 0.5, 1.0, 2.0, 1e3, math.inf])
+    for d1, d2 in ((4, 6), (1, 80), (6214, 548), (2_000_000, 47)):
+        vec = f_cdf(d1, d2, fs)
+        for i, x in enumerate(fs):
+            got = f_cdf(d1, d2, float(x))
+            assert type(got) is float, (d1, d2, x)
+            assert got == f_cdf(d1, d2, fs[i:i + 1])[0], (d1, d2, x)
+            assert abs(got - vec[i]) <= 4e-15 * got, (d1, d2, x)
 
 
 # --- F distribution -----------------------------------------------------------
@@ -270,6 +302,24 @@ def test_f_pdf_at_infinity_is_zero(d1, d2):
 def test_f_pdf_rejects_nan(x):
     with pytest.raises(ValueError):
         f_pdf(2, 2, x)
+
+
+def _mpmath_f_pdf(d1, d2, x):
+    """The F(d1, d2) density from its textbook form at 40 digits."""
+    with mpmath.workdps(40):
+        d1, d2, x = mpmath.mpf(d1), mpmath.mpf(d2), mpmath.mpf(x)
+        return mpmath.exp(d1 / 2 * mpmath.log(d1 / d2) + (d1 / 2 - 1) * mpmath.log(x)
+                          - (d1 + d2) / 2 * mpmath.log1p(d1 * x / d2)
+                          - mpmath.log(mpmath.beta(d1 / 2, d2 / 2)))
+
+
+@pytest.mark.parametrize("d1,d2", [(2, 2), (5, 40), (300, 7)])
+def test_f_pdf_far_upper_tail_against_mpmath(d1, d2):
+    # y = d1 x / (d1 x + d2) rounds toward 1 here, so log(1 - y) must not be
+    # formed from it; below the normal range both sides round to 0.0
+    for x in (1e10, 1e15, 1e17, 1e300):
+        exact = float(_mpmath_f_pdf(d1, d2, x))
+        assert abs(f_pdf(d1, d2, x) - exact) <= 1e-12 * exact, x
 
 
 def test_f_cdf_table_anchor():
