@@ -4,9 +4,8 @@ Contents: a counter-based seeded stream abstraction (Philox), the exponential
 inverse-CDF sampler, the regularized incomplete beta function by continued
 fraction, the F distribution CDF/quantile built on it, the gamma (Erlang) CDF
 of the exponential sample mean, and small Kolmogorov-Smirnov helpers used by
-the distribution-law self checks.  The incomplete beta and the F CDF take a
-scalar x on np.float64 scalars, as each quantile's CDF calls do, and an array
-x element-wise, with the same kernels and the same bits.
+the distribution-law self checks.  A scalar incomplete beta, as in each F
+quantile, runs on np.float64 scalars with the bits of a one-element array.
 
 Everything here is deterministic: a (seed, stream_id) pair always produces
 the same variates under any execution order.  Each thread draws its streams
@@ -107,12 +106,11 @@ _BETA_EPS = 1e-15
 def _beta_cf(a: float, b: float, x: np.ndarray, y: np.ndarray, lam: np.ndarray) -> np.ndarray:
     """R with I_x(a, b) = R x^a y^b / B(a, b), for x <= a/(a+b) and y = 1 - x.
 
-    DiDonato & Morris (TOMS 708) bfrac, on an array or a np.float64 x (a
-    Python float's comparison has no .all()).  lam = a - (a+b) x is passed in
-    so that a reflected call can form it from the exact original x, not from
-    the rounded 1 - x; no step then cancels near the mode.  Runs until every
-    convergent moves by at most _BETA_EPS relative; near the mode that takes
-    ~(a+b)^(1/3) terms (544 at a = b = 1e6), capped at 500 + 4 sqrt(a+b).
+    DiDonato & Morris (TOMS 708) bfrac, over an array or a np.float64 x.  lam = a - (a+b) x
+    is passed in so that a reflected call can form it from the exact original
+    x, not from the rounded 1 - x; no step then cancels near the mode.  Runs
+    until every convergent moves by at most _BETA_EPS relative; near the mode
+    that takes ~(a+b)^(1/3) terms (544 at a = b = 1e6), capped at 500 + 4 sqrt(a+b).
     """
     max_iter = 500 + int(4.0 * math.sqrt(a + b))
     c, c0, c1, yp1 = 1.0 + lam, b / a, 1.0 + 1.0 / a, y + 1.0
@@ -135,20 +133,13 @@ def _beta_cf(a: float, b: float, x: np.ndarray, y: np.ndarray, lam: np.ndarray) 
 
 
 def _rlog1(e, log1p_e):
-    """e - log(1 + e), given log(1 + e); by the atanh series in w = e/(2 + e) for |e| < 0.1.
-
-    w^3 is libm pow for a Python float and numpy's power otherwise, as for an
-    array; a np.float64's own ** is libm's, and the two differ in the last bit.
-    """
-    w = e / (2.0 + e)
-    w2, poly = w * w, 1.0 / 13.0
+    """e - log(1 + e), given log(1 + e); by the atanh series in w = e/(2 + e) for |e| < 0.1."""
+    w, poly = e / (2.0 + e), 1.0 / 13.0
     for k in (11.0, 9.0, 7.0, 5.0, 3.0):
-        poly = poly * w2 + 1.0 / k
+        poly = poly * (w * w) + 1.0 / k
+    # w^3 by numpy's power, as for an array, where a np.float64's ** is libm's
     series = e * w - 2.0 * (np.power(w, 3) if isinstance(w, np.generic) else w ** 3) * poly
-    small = abs(e) < 0.1
-    if np.ndim(small):
-        return np.where(small, series, e - log1p_e)
-    return series if small else e - log1p_e
+    return np.where(abs(e) < 0.1, series, e - log1p_e)
 
 
 def _stirling_rest(z: float) -> float:
@@ -159,23 +150,20 @@ def _stirling_rest(z: float) -> float:
     return (1.0 / 12.0 - z2 * (1.0 / 360.0 - z2 * (1.0 / 1260.0 - z2 / 1680.0))) / z
 
 
-def _log_front(a: float, b: float, x, log_y=None):
+def _log_front(a: float, b: float, x):
     """log(x^a (1-x)^b / B(a, b)), the front factor of I_x(a, b), for 0 < x < 1.
 
-    log_y is log(1 - x) when known better than log1p(-x) of the rounded x.  From
-    a or b = 30 on, where lgamma(a) + lgamma(b) - lgamma(a+b) cancels, ln B is
-    in Stirling form with the terms linear in x - a/(a+b) cancelled
+    From a or b = 30 on, where lgamma(a) + lgamma(b) - lgamma(a+b) cancels,
+    ln B is in Stirling form with the terms linear in x - a/(a+b) cancelled
     analytically (DiDonato & Morris, TOMS 708, brcomp).
     """
-    if log_y is None:
-        log_y = np.log1p(-x)
     if max(a, b) < 30.0:
         ln_beta = math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
-        return a * np.log(x) + b * log_y - ln_beta
+        return a * np.log(x) + b * np.log1p(-x) - ln_beta
     x0, y0 = a / (a + b), b / (a + b)
     return (0.5 * math.log(a * y0 / (2.0 * math.pi))
             - a * _rlog1((x - x0) / x0, np.log(x) - math.log(x0))
-            - b * _rlog1((x0 - x) / y0, log_y - math.log(y0))
+            - b * _rlog1((x0 - x) / y0, np.log1p(-x) - math.log(y0))
             - _stirling_rest(a) - _stirling_rest(b) + _stirling_rest(a + b))
 
 
@@ -184,17 +172,16 @@ def regularized_incomplete_beta(a: float, b: float, x):
 
     The front factor x^a (1-x)^b / B(a, b) times the continued fraction of
     _beta_cf, switching through I_x(a, b) = 1 - I_{1-x}(b, a) above the mode
-    a/(a+b).  a, b are scalars.  An array x gives an array; a scalar x runs
-    the same kernels on np.float64 scalars, with no masks, and gives a float
-    with the bits of a one-element array.
+    a/(a+b).  Vectorized over x; a, b are scalars.  A scalar x runs the same
+    kernels on np.float64 scalars, with the bits of a one-element array.
     """
     if not (a > 0 and b > 0):
         raise ValueError(f"a and b must be positive, got a={a}, b={b}")
     arr = np.asarray(x, dtype=float)
+    if not np.all((arr >= 0) & (arr <= 1)):
+        raise ValueError("x must lie in [0, 1]")
     if arr.ndim == 0:
         x = arr[()]
-        if not 0.0 <= x <= 1.0:
-            raise ValueError("x must lie in [0, 1]")
         if x == 0.0 or x == 1.0:
             return float(x == 1.0)  # +0.0 also at x = -0.0
         front, lam = np.exp(_log_front(a, b, x)), a - (a + b) * x
@@ -203,8 +190,6 @@ def regularized_incomplete_beta(a: float, b: float, x):
         else:
             res = 1.0 - front * _beta_cf(b, a, 1.0 - x, x, -lam)
         return min(max(float(res), 0.0), 1.0)
-    if not np.all((arr >= 0) & (arr <= 1)):
-        raise ValueError("x must lie in [0, 1]")
     out = np.where(arr == 1.0, 1.0, 0.0)
     interior = (arr > 0.0) & (arr < 1.0)
     xi = arr[interior]
@@ -230,33 +215,32 @@ def f_cdf(d1: int, d2: int, x):
     arr = np.asarray(x, dtype=float)
     if not np.all(arr >= 0):
         raise ValueError("x must be nonnegative")
-    y = d1 * arr
-    if arr.ndim == 0:
-        y = y / (y + d2) if y < math.inf else 1.0
-    else:
-        # in place, to allocate no more than the plain quotient d1 x / (d1 x + d2)
-        inf = np.isinf(y)
-        np.divide(y, y + d2, out=y, where=~inf)
-        y[inf] = 1.0
+    # in place, to allocate no more than the plain quotient d1 x / (d1 x + d2)
+    y = np.asarray(d1 * arr)
+    inf = np.isinf(y)
+    np.divide(y, y + d2, out=y, where=~inf)
+    y[inf] = 1.0
     return regularized_incomplete_beta(d1 / 2.0, d2 / 2.0, y)
 
 
 def f_pdf(d1: int, d2: int, x: float) -> float:
     """Density of the F(d1, d2) distribution; x f(x) is the front factor at y,
-    and the density is 0 at x <= 0 and at x = inf."""
+    and the density is 0 at x <= 0 and at x = inf.  Above y = 1/2 it is the
+    F(d2, d1) density at 1/x over x^2, whose y is the 1 - y that y rounds off."""
     _check_df(d1, d2)
     if math.isnan(x):
         raise ValueError("x must not be NaN")
     if not 0 < x < math.inf:
         return 0.0
-    # 1 - y = d2 / (d1 x + d2), whose log keeps its digits where y rounds to 1
-    return _f_density(d1, d2, x, -math.log1p(d1 * x / d2))
+    if d1 * x > d2:
+        return _f_density(d2, d1, 1.0 / x) / x / x
+    return _f_density(d1, d2, x)
 
 
-def _f_density(d1: int, d2: int, x: float, log_y=None) -> float:
-    """The F(d1, d2) density at 0 < x < inf: the front factor at y = d1 x/(d1 x + d2), over x."""
+def _f_density(d1: int, d2: int, x: float) -> float:
+    """The F(d1, d2) density at 0 < x < inf from the front factor at y = d1 x/(d1 x + d2)."""
     y = d1 * x / (d1 * x + d2)
-    return math.exp(float(_log_front(d1 / 2.0, d2 / 2.0, y, log_y))) / x
+    return math.exp(float(_log_front(d1 / 2.0, d2 / 2.0, y))) / x
 
 
 #: Largest step in log x while the quantile is not yet bracketed on that side.
@@ -299,8 +283,7 @@ def f_quantile(d1: int, d2: int, prob: float) -> float:
         if abs(cdf - prob) <= 1e-12 * prob:
             break
         lo, hi = (lo, u) if cdf > prob else (u, hi)
-        # log1p(-y), not f_pdf's exact log(1 - y): the slope sets only the speed,
-        # but its bits set the Newton path, and so the last bits of each quantile
+        # not f_pdf's form above y = 1/2: the slope's bits set each quantile's last bits
         slope = x * _f_density(d1, d2, x) / cdf if cdf > 0 and x < math.inf else 0.0
         step = -math.log(cdf / prob) / slope if slope > 0 else math.copysign(math.inf, prob - cdf)
         nxt = u + min(max(step, -_LOG_STEP_MAX), _LOG_STEP_MAX)

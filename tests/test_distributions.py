@@ -313,11 +313,18 @@ def _mpmath_f_pdf(d1, d2, x):
                           - mpmath.log(mpmath.beta(d1 / 2, d2 / 2)))
 
 
-@pytest.mark.parametrize("d1,d2", [(2, 2), (5, 40), (300, 7)])
-def test_f_pdf_far_upper_tail_against_mpmath(d1, d2):
-    # y = d1 x / (d1 x + d2) rounds toward 1 here, so log(1 - y) must not be
-    # formed from it; below the normal range both sides round to 0.0
-    for x in (1e10, 1e15, 1e17, 1e300):
+_FAR_TAIL = (1e10, 1e15, 1e17, 1e300, 1.7e308)
+
+
+# In the far tail y = d1 x / (d1 x + d2) rounds toward 1, so log(1 - y) must
+# not be formed from it; below the normal range both sides round to 0.0, also
+# at 1.7e308, where d1 x overflows.  At d1 >> d2 the bulk itself lies within
+# 1e-4 of y = 1: there x is the mode 0.9592 and 1 and 3 sd (0.2253) each side.
+@pytest.mark.parametrize("d1,d2,xs", [
+    (2, 2, _FAR_TAIL), (5, 40, _FAR_TAIL), (300, 7, _FAR_TAIL),
+    (2_000_000, 47, (0.2834, 0.7339, 0.9592, 1.1844, 1.6349))])
+def test_f_pdf_against_mpmath(d1, d2, xs):
+    for x in xs:
         exact = float(_mpmath_f_pdf(d1, d2, x))
         assert abs(f_pdf(d1, d2, x) - exact) <= 1e-12 * exact, x
 
