@@ -174,17 +174,11 @@ def estimate(out: OutputSpec, file1: str, file2: str) -> None:
     if out.format == "json":
         out.write(json.dumps(report.to_dict(), indent=2))
     elif out.format == "csv":
+        quantities = [(k, v if isinstance(v, int) else _fmt(v))
+                      for k, v in report.to_dict().items() if not isinstance(v, dict)]
         rows = [(key, _fmt(report.points[key]), _fmt(report.variances[key]),
                  _fmt(report.biases[key])) for key in COEFFICIENTS]
-        prefix = _csv_text(
-            ("quantity", "value"),
-            [("n1", report.ratio.n1), ("n2", report.ratio.n2),
-             ("theta1_hat", _fmt(report.ratio.theta1_hat)),
-             ("theta2_hat", _fmt(report.ratio.theta2_hat)),
-             ("r_hat", _fmt(report.ratio.r_hat)),
-             ("r_hat_star", _fmt(report.ratio.r_hat_star)),
-             ("var_r_hat_star", _fmt(report.var_r_hat_star))])
-        out.write(prefix + _csv_text(
+        out.write(_csv_text(("quantity", "value"), quantities) + _csv_text(
             ("coefficient", "estimate", "approx_variance", "approx_bias"), rows))
     else:
         out.write(_render_estimate_table(report))
@@ -211,10 +205,8 @@ def ci(out: OutputSpec, file1: str, file2: str, level: float) -> None:
                    "coefficients": {k: v.to_dict() for k, v in ovl_ints.items()}}
         out.write(json.dumps(payload, indent=2))
     elif out.format == "csv":
-        rows = [("ratio", _fmt(r_int.lower), _fmt(r_int.upper),
-                 str(r_int.contains_one).lower())]
-        rows += [(k, _fmt(v.lower), _fmt(v.upper), str(v.contains_one).lower())
-                 for k, v in ovl_ints.items()]
+        rows = [(v.target, _fmt(v.lower), _fmt(v.upper), str(v.contains_one).lower())
+                for v in (r_int, *ovl_ints.values())]
         out.write(_csv_text(("target", "lower", "upper", "contains_one"), rows))
     else:
         # the ratio limits take .6g like r_hat; the space keeps 12-character
@@ -261,12 +253,8 @@ def curves(out: OutputSpec, r_min: float, r_max: float, points: int) -> None:
         out.write("\n".join(lines))
 
 
-def _parse_float_list(text: str) -> tuple[float, ...]:
-    return tuple(float(part) for part in text.split(",") if part.strip())
-
-
-def _parse_int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(part) for part in text.split(",") if part.strip())
+def _parse_list(text: str, kind: type) -> tuple:
+    return tuple(kind(part) for part in text.split(",") if part.strip())
 
 
 @main.command()
@@ -287,9 +275,9 @@ def simulate(out: OutputSpec, r_text: str | None, n_text: str | None,
     kwargs = {}
     try:
         if r_text is not None:
-            kwargs["r_values"] = _parse_float_list(r_text)
+            kwargs["r_values"] = _parse_list(r_text, float)
         if n_text is not None:
-            kwargs["size_pairs"] = tuple((n, n) for n in _parse_int_list(n_text))
+            kwargs["size_pairs"] = tuple((n, n) for n in _parse_list(n_text, int))
     except ValueError as exc:
         raise click.BadParameter(str(exc), param_hint="--r/--n")
     if reps is not None:

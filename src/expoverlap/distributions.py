@@ -137,8 +137,8 @@ def _rlog1(e, log1p_e):
     w, poly = e / (2.0 + e), 1.0 / 13.0
     for k in (11.0, 9.0, 7.0, 5.0, 3.0):
         poly = poly * (w * w) + 1.0 / k
-    # w^3 by numpy's power, as for an array, where a np.float64's ** is libm's
-    series = e * w - 2.0 * (np.power(w, 3) if isinstance(w, np.generic) else w ** 3) * poly
+    # w^3 by numpy's power for every input: a np.float64's ** is libm's pow
+    series = e * w - 2.0 * np.power(w, 3) * poly
     return np.where(abs(e) < 0.1, series, e - log1p_e)
 
 
@@ -223,20 +223,6 @@ def f_cdf(d1: int, d2: int, x):
     return regularized_incomplete_beta(d1 / 2.0, d2 / 2.0, y)
 
 
-def f_pdf(d1: int, d2: int, x: float) -> float:
-    """Density of the F(d1, d2) distribution; x f(x) is the front factor at y,
-    and the density is 0 at x <= 0 and at x = inf.  Above y = 1/2 it is the
-    F(d2, d1) density at 1/x over x^2, whose y is the 1 - y that y rounds off."""
-    _check_df(d1, d2)
-    if math.isnan(x):
-        raise ValueError("x must not be NaN")
-    if not 0 < x < math.inf:
-        return 0.0
-    if d1 * x > d2:
-        return _f_density(d2, d1, 1.0 / x) / x / x
-    return _f_density(d1, d2, x)
-
-
 def _f_density(d1: int, d2: int, x: float) -> float:
     """The F(d1, d2) density at 0 < x < inf from the front factor at y = d1 x/(d1 x + d2)."""
     y = d1 * x / (d1 * x + d2)
@@ -283,7 +269,6 @@ def f_quantile(d1: int, d2: int, prob: float) -> float:
         if abs(cdf - prob) <= 1e-12 * prob:
             break
         lo, hi = (lo, u) if cdf > prob else (u, hi)
-        # not f_pdf's form above y = 1/2: the slope's bits set each quantile's last bits
         slope = x * _f_density(d1, d2, x) / cdf if cdf > 0 and x < math.inf else 0.0
         step = -math.log(cdf / prob) / slope if slope > 0 else math.copysign(math.inf, prob - cdf)
         nxt = u + min(max(step, -_LOG_STEP_MAX), _LOG_STEP_MAX)
@@ -311,14 +296,13 @@ def erlang_cdf(shape: int, scale: float, x):
     law checks need.  Computed as P(k, y) = 1 - sum_{j<k} t_j with
     t_j = exp(-y) y^j / j!, each term built from a running log
     log t_j = log t_{j-1} + log y - log j, so exp(-y) never underflows.
+    Vectorized over x; a 0-d x gives a np.float64 with the bits of an array element.
     """
     if not isinstance(shape, (int, np.integer)) or shape < 1:
         raise ValueError(f"shape must be a positive integer, got {shape!r}")
     if not (math.isfinite(scale) and scale > 0):
         raise ValueError(f"scale must be strictly positive, got {scale!r}")
-    arr = np.asarray(x, dtype=float)
-    scalar = arr.ndim == 0
-    y = np.maximum(np.atleast_1d(arr) / scale, 0.0)
+    y = np.maximum(np.asarray(x, dtype=float) / scale, 0.0)
     with np.errstate(divide="ignore"):
         log_y = np.log(y)
     log_term = -y
@@ -326,8 +310,7 @@ def erlang_cdf(shape: int, scale: float, x):
     for j in range(1, int(shape)):
         log_term += log_y - math.log(j)
         total += np.exp(log_term)
-    out = np.clip(1.0 - total, 0.0, 1.0)
-    return float(out[0]) if scalar else out
+    return np.clip(1.0 - total, 0.0, 1.0)
 
 
 def ks_statistic(sample: np.ndarray, cdf) -> float:

@@ -75,8 +75,8 @@ def matusita_rho(r):
 
 @_closed_form
 def morisita_lambda(r):
-    """Morisita similarity index 4*r/(1 + r)**2."""
-    return 4.0 * r / (1.0 + r) ** 2
+    """Morisita similarity index 4*r/(1 + r)**2, scaled last so that 4*r cannot overflow."""
+    return 4.0 * (r / (1.0 + r) ** 2)
 
 
 @_closed_form
@@ -147,8 +147,11 @@ def _gk15(f, a: float, b: float) -> tuple[float, float]:
     return k15, abs(k15 - g7)
 
 
+#: Bisections integrate_adaptive may make before it raises NonConvergence.
+_MAX_SUBDIVISIONS = 4000
+
+
 def integrate_adaptive(f, a: float, b: float, tol: float = 1e-10,
-                       max_subdivisions: int = 4000,
                        initial_points=None) -> float:
     """Integrate f over [a, b] to absolute accuracy tol.
 
@@ -171,7 +174,7 @@ def integrate_adaptive(f, a: float, b: float, tol: float = 1e-10,
 
     splits = 0
     while total_err > tol:
-        if splits >= max_subdivisions:
+        if splits >= _MAX_SUBDIVISIONS:
             raise NonConvergence(
                 f"error estimate {total_err:.3e} above tol {tol:.3e} "
                 f"after {splits} subdivisions")

@@ -135,11 +135,11 @@ def test_oracle_rejects_unknown_key():
 
 
 def test_quadrature_budget_exhaustion():
-    # the delta integrand at rates (1, 7), kink and all, cannot reach 1e-13
-    # in one subdivision
+    # the delta integrand at rates (1, 7), kink and all, cannot reach an
+    # error estimate of exactly 0 within the subdivision budget
     with pytest.raises(NonConvergence):
         integrate_adaptive(lambda x: np.minimum(np.exp(-x), 7.0 * np.exp(-7.0 * x)),
-                           0.0, 50.0, tol=1e-13, max_subdivisions=1)
+                           0.0, 50.0, tol=0.0)
 
 
 def test_integrate_adaptive_known_integral():
@@ -186,6 +186,15 @@ def test_closed_forms_quiet_over_full_range(fn):
         warnings.simplefilter("error")
         vals = fn(np.geomspace(1e-300, 1e300, 601))
     assert np.all((vals >= 0.0) & (vals <= 1.0))
+
+
+@pytest.mark.parametrize("r", [4.5e307, 1.79e308])
+def test_closed_forms_in_range_at_huge_ratios(r):
+    # (1 + r)^2 and r^2 overflow here; 4 r must not turn lambda into inf/inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        vals = [fn(r) for fn in MEASURES.values()]
+    assert all(0.0 <= v <= 1.0 for v in vals), vals
 
 
 def test_closed_form_wrapper_types():
