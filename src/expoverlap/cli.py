@@ -9,10 +9,13 @@ Subcommands:
     check                       self-check suites
 
 Global options choose the output format (table, csv, json) and destination.
-Sample files carry one observation per line; blank lines and lines starting
-with '#' are ignored.
+Sample files are UTF-8 text, split into lines by ``str.splitlines`` and
+stripped by ``str.strip``.  A blank line is skipped, and so is a line whose
+first non-blank character is '#', the only place '#' opens a comment.  Every
+other line holds one value in Python ``float`` syntax, positive and finite.
 
-Exit codes: 0 ok, 2 unreadable input, unwritable output or usage error,
+Exit codes: 0 ok, 2 unreadable input, a ratio of sample means outside the
+float range, unwritable output or usage error,
 3 insufficient data or bad configuration, 4 reproduction gate failure,
 5 self-check failure, 6 numerical method did not converge.
 """
@@ -33,7 +36,7 @@ import numpy as np
 
 from . import checks, confidence, estimation, measures, simulation
 from .distributions import NonConvergence
-from .estimation import InsufficientSampleSize, TwoSample
+from .estimation import InsufficientSampleSize, RatioOutOfRange, TwoSample
 from .measures import COEFFICIENTS
 from .simulation import DEFAULT_SEED, ConfigError, SimConfig, _fmt
 
@@ -56,6 +59,7 @@ class OutputPathError(Exception):
 EXIT_CODES = {
     SampleFileError: EXIT_INPUT,
     OutputPathError: EXIT_INPUT,
+    RatioOutOfRange: EXIT_INPUT,
     InsufficientSampleSize: EXIT_INSUFFICIENT,
     ConfigError: EXIT_INSUFFICIENT,
     NonConvergence: EXIT_NONCONVERGENCE,
@@ -72,13 +76,55 @@ def _writing(name=None):
 
 
 def read_sample_file(path: str) -> np.ndarray:
-    """Parsed and checked at once; only a failing file is re-read line by line."""
+    """The observations of a sample file, read once; see the module docstring."""
     try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise SampleFileError(f"{path}: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:
         raise SampleFileError(f"{path}: not UTF-8 text (byte {exc.start})") from exc
+    values = _parse_plain(text)
+    return _parse_lines(path, text) if values is None else values
+
+
+def _parse_plain(text: str) -> np.ndarray | None:
+    """The values of a file of leading '#' lines, then one valid value per line,
+    blank lines anywhere and no other '#'; None for any other file.
+
+    Reading the text made every line end in "\n".  A line that ``float``
+    accepts is one value between whitespace, and ``str.splitlines`` and
+    ``str.strip`` make the same one value of it, so whatever this returns has
+    the bits ``_parse_lines`` gives.  The header check keeps a '#' line from
+    hiding a value behind another separator that ``str.splitlines`` honours.
+    A '#' after the header is found before any line is split.
+    """
+    start = 0
+    while text.startswith(("#", "\n"), start):
+        start = text.find("\n", start) + 1
+        if not start:
+            return None
+    head = text[:start]
+    n_head = head.count("\n")
+    if text.find("#", start) >= 0 or len(head.splitlines()) != n_head:
+        return None
+    lines = text.split("\n")
+    del lines[:n_head]
+    while lines and not lines[-1].strip():
+        lines.pop()
+    if not all(lines):
+        lines = [t for t in lines if t]
+    if not lines:
+        return None
+    try:
+        values = np.fromiter(map(float, lines), dtype=float, count=len(lines))
+    except ValueError:
+        return None
+    return values if 0.0 < values.min() and values.max() < math.inf else None
+
+
+def _parse_lines(path: str, text: str) -> np.ndarray:
+    """Any file: skip blank and '#' lines, else raise naming the first bad line."""
+    lines = text.splitlines()
     texts = [t for t in map(str.strip, lines) if t and t[0] != "#"]
     try:
         values = np.fromiter(map(float, texts), dtype=float, count=len(texts))
@@ -248,7 +294,7 @@ def curves(out: OutputSpec, r_min: float, r_max: float, points: int) -> None:
     else:
         lines = [f"{'r':>10}" + "".join(f"{key:>12}" for key in COEFFICIENTS)]
         for i, r in enumerate(rs):
-            lines.append(f"{r:>10.4f}" + "".join(
+            lines.append(f"{r:>10.6g}" + "".join(
                 f"{series[key][i]:>12.3f}" for key in COEFFICIENTS))
         out.write("\n".join(lines))
 

@@ -39,6 +39,10 @@ class InsufficientSampleSize(ValueError):
     """Too few observations for the requested quantity (n2 > 2 is needed)."""
 
 
+class RatioOutOfRange(ValueError):
+    """The ratio of two finite sample means is 0 or infinite in float64."""
+
+
 @dataclass(frozen=True)
 class TwoSample:
     """Two independent vectors of strictly positive observations."""
@@ -95,11 +99,28 @@ def corrected_ratio(r_hat, n2: int):
     return r_hat * (n2 - 1.0) / n2
 
 
+def _sample_mean(x: np.ndarray) -> float:
+    """``np.mean``, or max * mean(x / max) where the sum overflows."""
+    with np.errstate(over="ignore"):
+        mean = np.mean(x)
+    if not np.isfinite(mean):
+        top = x.max()
+        mean = top * np.mean(x / top)
+    return float(mean)
+
+
 def ratio_estimates(sample: TwoSample) -> RatioEstimates:
     """The sample averages (maximum likelihood estimates of the two means)
-    and the two ratio estimates."""
-    th1, th2 = float(np.mean(sample.x1)), float(np.mean(sample.x2))
+    and the two ratio estimates.
+
+    Raises RatioOutOfRange when the two means are too far apart for their
+    ratio to be a positive finite float.
+    """
+    th1, th2 = _sample_mean(sample.x1), _sample_mean(sample.x2)
     r_hat = th1 / th2
+    if not 0.0 < r_hat < math.inf:
+        raise RatioOutOfRange(
+            f"the ratio of the sample means {th1:.6g} / {th2:.6g} is outside the float range")
     return RatioEstimates(theta1_hat=th1, theta2_hat=th2, n1=sample.n1, n2=sample.n2,
                           r_hat=r_hat, r_hat_star=corrected_ratio(r_hat, sample.n2))
 

@@ -109,6 +109,40 @@ def test_read_sample_file_without_observations(tmp_path):
         read_sample_file(str(path))
 
 
+def _near_max_files(tmp_path):
+    """40 observations in [1e307, 4e307] each: either sum overflows float64."""
+    values = [1e307 * (1.0 + 3.0 * k / 39) for k in range(40)]
+    return (_write_sample(tmp_path / "a.txt", values),
+            _write_sample(tmp_path / "b.txt", values[::-1]))
+
+
+def test_estimate_means_do_not_overflow(runner, tmp_path):
+    files = _near_max_files(tmp_path)
+    res = runner.invoke(main, ["--format", "json", "estimate", *files])
+    assert res.exit_code == 0, res.output
+    payload = json.loads(res.output)
+    assert math.isclose(payload["theta1_hat"], 2.5e307, rel_tol=1e-14)
+    assert payload["theta1_hat"] == payload["theta2_hat"]
+    assert payload["r_hat"] == 1.0
+
+
+def test_ci_means_do_not_overflow(runner, tmp_path):
+    res = runner.invoke(main, ["--format", "json", "ci", *_near_max_files(tmp_path)])
+    assert res.exit_code == 0, res.output
+    ratio = json.loads(res.output)["ratio"]
+    assert ratio["lower"] < 1.0 < ratio["upper"]
+
+
+@pytest.mark.parametrize("command", ["estimate", "ci"])
+def test_ratio_outside_float_range_is_input_error(runner, tmp_path, command):
+    huge = _write_sample(tmp_path / "huge.txt", [1e300] * 40)
+    tiny = _write_sample(tmp_path / "tiny.txt", [1e-300] * 40)
+    for files in ((huge, tiny), (tiny, huge)):
+        res = runner.invoke(main, [command, *files])
+        assert res.exit_code == 2
+        assert "outside the float range" in res.output
+
+
 def test_estimate_missing_file(runner, constant_files):
     res = runner.invoke(main, ["estimate", constant_files[0], "/nonexistent/file.txt"])
     assert res.exit_code == 2
@@ -236,6 +270,15 @@ def test_curves_lambda_is_rho_squared(runner):
         rho, lam = float(row["rho"]), float(row["lambda"])
         assert lam <= rho + 1e-15
         assert abs(lam - rho ** 2) <= 1e-12
+
+
+def test_curves_table_prints_huge_ratios_compactly(runner):
+    # fixed-point would print r = 5e149 with 150 digits
+    res = runner.invoke(main, ["curves", "--r-min", "1", "--r-max", "1e150", "--points", "3"])
+    assert res.exit_code == 0
+    rows = res.output.splitlines()
+    assert [row.split()[0] for row in rows[1:]] == ["1", "5e+149", "1e+150"]
+    assert len({len(row) for row in rows}) == 1
 
 
 def test_curves_usage_errors(runner, tmp_path):

@@ -64,7 +64,7 @@ DIGESTS = {
     "1000x3 estimate json": "d79c6393f13fb262f8fca62466995c73a042926f6b59af296c73c638ad1af290",
     "1000x3 ci json 0.9": "8ddf1ae7a956f86551b144622b294cf9a93e26023c63bd11ff5806b4bb7df7bc",
     "1000x3 ci json 0.999": "4fb00a8d4b7d6adc2958a81fe8110849e25ad0cc6687f9bc40a8ea898e1914e5",
-    "curves table": "3ed58d2836d58e05d6b94fbe49010a2e3d3f28852d85eb10e685816a025015f7",
+    "curves table": "c9a3aa26b3af81519900ef4ed1819d65d5abf34997712a244d65b44008491e1b",
     "curves csv": "1fe8ba54bfcdb218382086e7dd684ed5f54eb08cd5abe703f43ef09c46d1ccba",
     "curves json": "8757a1441ac56ffd8d806a85f7834690682702cd176deb6d53fc2bcd0b6e9af9",
     "check json 7": "0c34df2bf456682bf9ce6584b70fa45800d02be6ed4e67abe5f37a8b0393fea2",
