@@ -1,12 +1,11 @@
 #!/usr/bin/env python3
 """Which bias approximation tracks simulation: published formulas or Taylor term?
 
-The published second-order bias expressions differ from the textbook Taylor
-term 0.5 * g''(R) * Var(R*) by roughly constant factors (exactly 2 for the
-Morisita coefficient, -2 for the KL overlap).  This script runs the default
-study, whose KL overlap is evaluated at the uncorrected ratio, and reports,
-per coefficient, how often each version lands closer to the empirical bias,
-plus the worst cells.
+Each published second-order bias expression is exactly twice the textbook
+Taylor term 0.5 * g''(R) * Var(R*) for delta, rho and lambda, and minus twice
+it for the KL overlap.  This script runs the default study, whose KL overlap
+is evaluated at the uncorrected ratio, and reports, per coefficient, how
+often each version lands closer to the empirical bias, plus the worst cells.
 
 Usage: python scripts/adjudicate_bias_formulas.py [seed]
 """

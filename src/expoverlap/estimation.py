@@ -11,10 +11,10 @@ R_hat.
 
 ``taylor_variances`` and ``taylor_biases`` evaluate the first and second
 order expansion formulas for the sampling variance and bias of the four
-estimators exactly as published; ``taylor_bias_oracle`` computes the
-textbook second-order term 0.5 * g''(R) * Var(R*) by central finite
-differences instead.  The two bias versions disagree by roughly constant
-factors; the Monte Carlo module reports which one tracks simulation.
+estimators exactly as published.  Each published bias is exactly 2x the
+textbook term 0.5 * g''(R) * Var(R*) (-2x for the KL overlap), which
+``taylor_bias_oracle`` computes from that identity; the Monte Carlo module
+reports which of the two versions tracks simulation.
 """
 
 from __future__ import annotations
@@ -169,9 +169,9 @@ def taylor_biases(r: float, n1: int, n2: int) -> dict[str, float]:
 
     The delta formula is piecewise in R with mirrored cube denominators; its
     one-sided limits at R = 1 are +-c/e, so the value at R = 1 is undefined
-    and reported as NaN.  These formulas differ from the finite-difference
-    Taylor term (``taylor_bias_oracle``) by roughly constant factors; both
-    are kept so simulation can adjudicate.
+    and reported as NaN.  Each formula is exactly 2x the Taylor term
+    0.5 * g''(R) * Var(R*) (``taylor_bias_oracle``), -2x for the KL overlap;
+    both are kept so simulation can adjudicate.
     """
     if not (math.isfinite(r) and r > 0):
         raise ValueError(f"r must be strictly positive, got {r!r}")
@@ -203,27 +203,13 @@ def taylor_biases(r: float, n1: int, n2: int) -> dict[str, float]:
 
 
 def taylor_bias_oracle(r: float, n1: int, n2: int) -> dict[str, float]:
-    """Second-order Taylor bias 0.5 * g''(R) * Var(R*) by central differences.
+    """Second-order Taylor bias 0.5 * g''(R) * Var(R*) for each closed form g.
 
-    g'' uses the stencil (g(R+h) - 2 g(R) + g(R-h)) / h^2 with
-    h = 1e-5 * max(R, 1) (capped at R/2 so the stencil stays positive).
-    The Weitzman coefficient has a corner at R = 1 where no second
-    derivative exists; NaN is returned when the stencil straddles it.
+    Each published bias is exactly twice this term (minus twice for the KL
+    overlap), so it is read off ``taylor_biases``; delta's is NaN at R = 1.
     """
-    if not (math.isfinite(r) and r > 0):
-        raise ValueError(f"r must be strictly positive, got {r!r}")
-    c = variance_factor(n1, n2)
-    var_r_star = r ** 2 * c
-    h = min(1e-5 * max(r, 1.0), 0.5 * r)
-    out: dict[str, float] = {}
-    for key in COEFFICIENTS:
-        if key == "delta" and abs(r - 1.0) <= 4.0 * h:
-            out[key] = math.nan
-            continue
-        g = MEASURES[key]
-        second = (g(r + h) - 2.0 * g(r) + g(r - h)) / (h * h)
-        out[key] = 0.5 * second * var_r_star
-    return out
+    return {key: (-0.5 if key == "kl_lambda" else 0.5) * bias
+            for key, bias in taylor_biases(r, n1, n2).items()}
 
 
 @dataclass(frozen=True)

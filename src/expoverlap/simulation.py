@@ -313,9 +313,9 @@ def theoretical_vs_empirical(table: SimulationTable) -> TheoryComparisonReport:
     """Tabulate approximation formulas against empirical moments per cell.
 
     For each coefficient the report records the first-order variance formula,
-    the published bias formula, the finite-difference Taylor bias, and which
-    bias version is closer to the empirical bias ("formula", "oracle" or
-    "tie").
+    the published bias formula, the Taylor bias 0.5 * g''(R) * Var(R*) and
+    which bias version is closer to the empirical bias ("formula", "oracle"
+    or "tie").
     """
     entries: list[dict] = []
     closer_counts: dict[str, dict[str, int]] = {

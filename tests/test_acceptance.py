@@ -288,7 +288,7 @@ GOLDEN_DIGESTS = {
     "bias_vs_r.csv": "fe0f70a589c963910ee0d489b7286a4007e667a1cf5f095c0883d5da53d010f2",
     "std_vs_r.csv": "5558dd812f2a23ae25602abfbdbdad75772292b82a80aa0da7b4dec050c43ce7",
     "mse_vs_r.csv": "35a0fd65e94112607eaa1744dfea7b7725b96ac2fdb72de145b49523be080cc5",
-    "summary.json": "0474be641b41ae6235cddd0886736c7d9e0748ec12f86a242e7b8b9ca5d02f13",
+    "summary.json": "0da03ed73df5a688ace2ba8e052d979b113806afc59ce403fa65ccb5eaf85813",
 }
 
 

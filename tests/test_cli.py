@@ -315,6 +315,17 @@ def test_simulate_small_grid(runner, tmp_path):
         assert float(row["mse"]) == stats["mse"]
 
 
+@pytest.mark.parametrize("r", ["1e-200", "1e-300"])
+def test_simulate_tiny_ratio_writes_finite_bias_oracle(runner, tmp_path, r):
+    out = tmp_path / "sim"
+    res = runner.invoke(main, ["--output", str(out), "simulate",
+                               "--r", r, "--n", "20", "--reps", "10"])
+    assert res.exit_code == 0, res.output
+    entries = json.loads((out / "summary.json").read_text())["theory_comparison"]["entries"]
+    assert sorted(e["coefficient"] for e in entries) == sorted(COEFFICIENTS)
+    assert all(math.isfinite(e["bias_oracle"]) for e in entries)
+
+
 def test_simulate_rejects_bad_config(runner, tmp_path):
     res = runner.invoke(main, ["--output", str(tmp_path / "x"), "simulate",
                                "--reps", "1"])

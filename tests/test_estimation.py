@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -186,25 +187,62 @@ def test_bias_oracle_matches_analytic_second_derivatives():
     for r in (0.2, 0.5, 0.8, 1.6, 4.0):
         oracle = taylor_bias_oracle(r, n1, n2)
         var_r_star = r ** 2 * c
-        # analytic second derivatives of the closed forms
+        # analytic second derivatives of the closed forms; delta is
+        # 1 -+ (1 - r) e^(r q) with q = log(r) / (1 - r), - below r = 1
         lam2 = -8.0 * (2.0 - r) / (1.0 + r) ** 4
         kl2 = (2 * r ** 3 - 6 * r + 2) / (r ** 2 - r + 1) ** 3
         rho2 = -(0.5 + 3 * r - 1.5 * r ** 2) / (r ** 1.5 * (1 + r) ** 3)
-        for key, second in (("lambda", lam2), ("kl_lambda", kl2), ("rho", rho2)):
+        q = math.log(r) / (1.0 - r)
+        delta2 = (-math.copysign(1.0, 1.0 - r) * math.exp(r * q)
+                  * (1.0 / r - 1.0 + math.log(r) + q * (math.log(r) + 1.0 - r))
+                  / (1.0 - r) ** 2)
+        for key, second in (("lambda", lam2), ("kl_lambda", kl2), ("rho", rho2),
+                            ("delta", delta2)):
             expected = 0.5 * second * var_r_star
-            assert abs(oracle[key] - expected) <= 1e-4 * max(abs(expected), 1e-12)
+            assert abs(oracle[key] - expected) <= 1e-12 * max(abs(expected), 1e-12)
+
+
+# the closed forms written out for mpmath, independent of expoverlap.measures
+_MP_CLOSED_FORMS = {
+    "delta": lambda r: 1 - abs(1 - 1 / r) * r ** (1 / (1 - r)),
+    "rho": lambda r: 2 * mpmath.sqrt(r) / (1 + r),
+    "lambda": lambda r: 4 * r / (1 + r) ** 2,
+    "kl_lambda": lambda r: r / (r * r - r + 1),
+}
+
+
+def test_bias_oracle_is_half_g2_var_against_mpmath():
+    n1, n2 = 15, 40
+    ratios = [float(r) for r in np.geomspace(1e-3, 1e3, 40)]
+    ratios += [1.0 - 1e-3, 1.0 + 1e-3, 1.0 - 1e-7, 1.0 + 1e-7]
+    for r in ratios:
+        oracle = taylor_bias_oracle(r, n1, n2)
+        with mpmath.workdps(50):
+            x = mpmath.mpf(r)
+            var_r_star = x ** 2 * (n1 + n2 - 1) / (n1 * (n2 - mpmath.mpf(2)))
+            for key, g in _MP_CLOSED_FORMS.items():
+                expected = float(mpmath.diff(g, x, 2) * var_r_star / 2)
+                tol = 1e-5 if key == "delta" and abs(r - 1.0) < 1e-2 else 1e-9
+                assert abs(oracle[key] - expected) <= tol * abs(expected), (key, r)
 
 
 def test_bias_oracle_nan_for_delta_at_corner():
-    assert math.isnan(taylor_bias_oracle(1.0, 20, 20)["delta"])
+    oracle = taylor_bias_oracle(1.0, 20, 20)
+    assert math.isnan(oracle["delta"])
+    assert all(math.isfinite(oracle[key]) for key in ("rho", "lambda", "kl_lambda"))
+    for r in (1.0 - 1e-7, 1.0 + 1e-7, 1e-170, 1e-300):
+        assert all(math.isfinite(v) for v in taylor_bias_oracle(r, 20, 20).values())
 
 
-def test_bias_oracle_is_half_published_lambda_formula():
-    # the published lambda bias carries exactly twice the Taylor term
-    for r in (0.2, 0.5, 0.8, 3.0):
-        published = taylor_biases(r, 20, 20)["lambda"]
-        oracle = taylor_bias_oracle(r, 20, 20)["lambda"]
-        assert abs(published - 2.0 * oracle) <= 1e-4 * max(abs(published), 1e-12)
+def test_bias_oracle_is_half_published_formula():
+    # each published bias carries exactly twice the Taylor term, minus
+    # twice for the KL overlap
+    for r in (1e-3, 0.2, 0.5, 0.8, 1.0 - 1e-7, 1.0 + 1e-7, 3.0, 300.0, 1e5):
+        published = taylor_biases(r, 20, 20)
+        oracle = taylor_bias_oracle(r, 20, 20)
+        for key in COEFFICIENTS:
+            sign = -1.0 if key == "kl_lambda" else 1.0
+            assert 2.0 * oracle[key] == sign * published[key], (key, r)
 
 
 # --- full report ------------------------------------------------------------------
