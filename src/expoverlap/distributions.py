@@ -8,9 +8,10 @@ the distribution-law self checks.  A scalar incomplete beta, as in each F
 quantile, runs on np.float64 scalars with the bits of a one-element array.
 
 Everything here is deterministic: a (seed, stream_id) pair always produces
-the same variates under any execution order.  Each thread draws its streams
-from one Philox generator, re-keyed on every call, so a stream is still a
-value.  The Philox uniforms are the same on every platform;
+the same variates under any execution order.  Each thread keeps one Philox,
+a Generator on it and one state dict: a call swaps the dict's key, assigns
+it, and adds half an ulp to the Generator's 53-bit doubles, so a stream is
+still a value.  The Philox uniforms are the same on every platform;
 ``sample_exponential`` maps them through numpy's SIMD ``log``, so its
 variates are bit-identical on the same numpy build and CPU features, and a
 block of streams mapped in place gives each row the bits of its stream alone.
@@ -29,8 +30,16 @@ class NonConvergence(RuntimeError):
     """An iterative evaluation exhausted its budget before converging."""
 
 
-#: One Philox generator per thread, re-keyed for every stream it draws.
+#: Per thread: a Philox generator, a Generator on it and the state dict it is re-keyed from.
 _PER_THREAD = threading.local()
+
+
+def _uniforms(generator: np.random.Generator, n: int) -> np.ndarray:
+    """((w >> 11) + 0.5) * 2^-53 of the next n words w, as ``random``'s k * 2^-53 (k = w >> 11)
+    plus 2^-54, which rounds as k + 0.5 does: 1.0 for w >= 2^64 - 2^11."""
+    u = generator.random(n)
+    u += 2.0 ** -54
+    return u
 
 
 @dataclass(frozen=True)
@@ -52,45 +61,50 @@ class SeededStream:
             if not isinstance(v, (int, np.integer)) or not (0 <= int(v) < 2 ** 64):
                 raise ValueError(f"{name} must be an unsigned 64-bit integer, got {v!r}")
 
-    def uniforms(self, n: int) -> np.ndarray:
-        """n uniform variates on the open interval (0, 1).
+    @classmethod
+    def block(cls, seed: int, stream_ids) -> list[SeededStream]:
+        """[SeededStream(seed, i) for i in stream_ids], checking the seed once and the
+        ids only when they are not a 1-d uint64 array, whose dtype keeps them in range."""
+        cls(seed)
+        if getattr(stream_ids, "dtype", None) != np.uint64 or np.ndim(stream_ids) != 1:
+            return [cls(seed, i) for i in stream_ids]
+        new, streams = object.__new__, []
+        for i in stream_ids.tolist():
+            streams.append(s := new(cls))
+            s.__dict__["seed"], s.__dict__["stream_id"] = seed, i
+        return streams
 
-        Raw 64-bit Philox output is mapped through (raw >> 11 + 0.5) * 2^-53,
-        which can produce neither 0.0 nor 1.0.
-        """
+    def uniforms(self, n: int) -> np.ndarray:
+        """n uniform variates on (0, 1]: ((raw >> 11) + 0.5) * 2^-53 of the raw
+        64-bit Philox words, never 0.0 but 1.0 with probability 2^-53 per draw."""
         if n < 1:
             raise ValueError("n must be >= 1")
-        philox = getattr(_PER_THREAD, "philox", None)
-        if philox is None:
-            philox = _PER_THREAD.philox = np.random.Philox(key=0)
-        # counter 0 and an empty buffer under key [seed, stream_id]: the words
-        # of a fresh np.random.Philox(key=(stream_id << 64) | seed)
-        philox.state = {"bit_generator": "Philox", "buffer": [0] * 4, "buffer_pos": 4,
-                        "has_uint32": 0, "uinteger": 0,
-                        "state": {"counter": [0] * 4, "key": [self.seed, self.stream_id]}}
-        raw = philox.random_raw(int(n))
-        raw >>= 11  # in place: one array of n words fewer at the peak
-        return (raw.astype(np.float64) + 0.5) * 2.0 ** -53
+        keyed = getattr(_PER_THREAD, "keyed", None)
+        if keyed is None:  # counter 0, empty buffer: a fresh Philox(key=(stream_id << 64) | seed)
+            philox = np.random.Philox(key=0)
+            keyed = _PER_THREAD.keyed = (philox, np.random.Generator(philox), {
+                "bit_generator": "Philox", "buffer": [0] * 4, "buffer_pos": 4,
+                "has_uint32": 0, "uinteger": 0, "state": {"counter": [0] * 4, "key": None}})
+        philox, generator, state = keyed
+        state["state"]["key"] = [self.seed, self.stream_id]
+        philox.state = state
+        return _uniforms(generator, int(n))
 
 
 def sample_exponential(stream: SeededStream | list[SeededStream], mean_theta: float,
                        n: int) -> np.ndarray:
     """n i.i.d. draws from the exponential density (1/theta) exp(-x/theta).
 
-    Inverse-CDF method x = -theta * log(U); with U in the open unit interval
-    the output is always finite and strictly positive, and scaling in theta
-    is exact: the theta=2 sample is bitwise twice the theta=1 sample.  Given
-    a list of streams, the result has one row of n draws per stream, each
-    bitwise the sample that stream gives alone.
+    Inverse-CDF method x = -theta * log(U); with U in (0, 1] the output is
+    finite and non-negative: -0.0 where U is 1.0 (probability 2^-53 per
+    draw).  Scaling in theta is exact: the theta=2 sample is bitwise twice
+    the theta=1 sample.  Given a list of streams, the result has one row of
+    n draws per stream, each bitwise the sample that stream gives alone.
     """
     if not (math.isfinite(mean_theta) and mean_theta > 0):
         raise ValueError(f"mean_theta must be strictly positive, got {mean_theta!r}")
-    if isinstance(stream, SeededStream):
-        x = stream.uniforms(n)
-    else:
-        x = np.empty((len(stream), n))
-        for row, s in zip(x, stream):
-            row[...] = s.uniforms(n)
+    x = (stream.uniforms(n) if isinstance(stream, SeededStream)
+         else np.concatenate([s.uniforms(n) for s in stream]).reshape(len(stream), n))
     np.log(x, out=x)
     np.negative(x, out=x)
     return np.multiply(mean_theta, x, out=x)

@@ -11,9 +11,10 @@ counter-based substream keyed by the config seed and a 64-bit mix of the
 cell's parameter values, so results are bit-identical across runs, thread
 counts and grid compositions, and ``run_cell`` reproduces exactly the cell
 that ``run_study`` would produce.  A cell's stream ids are one numpy
-expression; its samples are drawn in blocks of about _BLOCK_UNIFORMS
-variates, a row per replication, and reduced row-wise, bitwise as if drawn
-and averaged one replication at a time.
+expression.  Its samples are drawn in blocks of about _BLOCK_UNIFORMS
+variates: ``SeededStream.block`` keys a block's streams from their uint64
+ids, each stream draws one replication's row with one ``uniforms`` call, and
+rows are reduced row-wise, bitwise as if drawn one replication at a time.
 
 ``compare_to_reference`` grades a default-grid table against the embedded
 reference dataset at tolerance max(0.01, 3 * mc_se) per cell;
@@ -161,7 +162,7 @@ def _draw_means(cfg: SimConfig, r: float, n1: int, n2: int) -> tuple[np.ndarray,
     for pop, (theta, n) in enumerate(((r, n1), (1.0, n2))):
         rows = max(1, _BLOCK_UNIFORMS // n)
         for start in range(0, cfg.replications, rows):
-            streams = [SeededStream(cfg.seed, i) for i in ids[start:start + rows, pop].tolist()]
+            streams = SeededStream.block(cfg.seed, ids[start:start + rows, pop])
             means[pop, start:start + rows] = sample_exponential(streams, theta, n).mean(axis=1)
     return means[0], means[1]
 

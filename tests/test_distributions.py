@@ -60,10 +60,12 @@ def test_interleaved_streams_match_fresh_philox():
 
 
 def test_threads_draw_streams_independently():
-    # each thread re-keys its own generator; a switch between the keying and
-    # the draw must not hand one thread another's words
+    # each thread re-keys its own generator from its own state dict; a switch
+    # between the keying and the draw must not hand one thread another's words
     streams = [SeededStream(5, i) for i in range(6)]
     expected = [s.uniforms(9) for s in streams]
+    # and each thread draws blocks through sample_exponential at its own n
+    blocks = {k: sample_exponential(streams, 0.7, 3 + 5 * k) for k in range(4)}
     mismatches = []
 
     def work(k):
@@ -71,6 +73,9 @@ def test_threads_draw_streams_independently():
             j = (i + k) % len(streams)
             if not np.array_equal(streams[j].uniforms(9), expected[j]):
                 mismatches.append((k, j))
+            if i % 10 == 0 and not np.array_equal(
+                    sample_exponential(streams, 0.7, 3 + 5 * k), blocks[k]):
+                mismatches.append((k, "block"))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -94,6 +99,49 @@ def test_exponential_rows_match_single_streams():
         for row, stream in zip(block, streams):
             assert np.array_equal(row, sample_exponential(stream, 0.3, n))
             assert np.array_equal(row, 0.3 * (-np.log(stream.uniforms(n))))
+
+
+def test_uniform_map_bits_at_chosen_words():
+    # the words sit in the Philox buffer, which the next draws read first
+    words = [0, 2 ** 64 - 2 ** 11 - 1, 2 ** 64 - 2 ** 11, 2 ** 64 - 1]
+    philox = np.random.Philox(key=0)
+    state = philox.state
+    state["buffer"], state["buffer_pos"] = words, 0
+    philox.state = state
+    got = distributions._uniforms(np.random.Generator(philox), 4)
+    raw = np.array(words, dtype=np.uint64)
+    old = ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53
+    assert np.array_equal(got.view(np.uint64), old.view(np.uint64))
+    # the documented range (0, 1]: 2^53 - 1.5 rounds to even, the top 2^11 words to 1.0
+    assert got.tolist() == [2.0 ** -54, 1.0 - 2.0 ** -52, 1.0, 1.0]
+
+
+def test_first_draws_are_pinned():
+    # numpy's Philox, its state setter, Generator.random and SIMD log, each
+    # pinned under its own name rather than as output digest mismatches
+    u = SeededStream(123456789, 2 ** 63 + 5).uniforms(4)
+    assert [hex(b) for b in u.view(np.uint64).tolist()] == [
+        "0x3fdd65ba45600b31", "0x3fe9f273be044822", "0x3f9751bd0f5187b0", "0x3fe3f66dd04c30d8"]
+    ids = np.array([7, 2 ** 64 - 1], dtype=np.uint64)
+    row = sample_exponential(SeededStream.block(123456789, ids), 0.5, 4)[1]
+    assert [hex(b) for b in row.view(np.uint64).tolist()] == [
+        "0x3fca3ae0fd9f2fa5", "0x3fdbf4ee755ba371", "0x3fb021447d1927c5", "0x3fda128eb17b2737"]
+
+
+def test_stream_block_matches_single_streams():
+    ids = [0, 2 ** 63, 2 ** 64 - 1]
+    block = SeededStream.block(9, np.array(ids, dtype=np.uint64))
+    assert block == [SeededStream(9, i) for i in ids]
+    assert all(type(s.stream_id) is int for s in block)
+    assert SeededStream.block(9, ids) == block
+    for seed, bad in ((-1, np.array(ids, dtype=np.uint64)), (2 ** 64, ids),
+                      (9, [0, -1]), (9, [2 ** 64]), (9, np.array([3, -1])),
+                      (9, np.zeros((2, 2), dtype=np.uint64))):
+        with pytest.raises(ValueError, match="unsigned 64-bit integer") as single:
+            [SeededStream(seed, i) for i in bad]
+        with pytest.raises(ValueError) as bulk:
+            SeededStream.block(seed, bad)
+        assert str(bulk.value) == str(single.value)
 
 
 def test_uniforms_open_interval():
