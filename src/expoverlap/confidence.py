@@ -84,13 +84,11 @@ def ovl_ci(ratio_interval: ConfidenceInterval, which: str) -> ConfidenceInterval
     if not (0.0 < lo <= hi):
         raise InvalidInterval(f"need 0 < lower <= upper, got ({lo}, {hi})")
 
-    ovl = MEASURES[which]
-    if hi <= 1.0:
-        lower, upper, straddles = ovl(lo), ovl(hi), False
-    elif lo >= 1.0:
-        lower, upper, straddles = ovl(hi), ovl(lo), False
-    else:
-        lower, upper, straddles = min(ovl(lo), ovl(hi)), 1.0, True
+    # monotone on either side of 1, so the images of the limits are in order
+    # but for rounding, which can swap them where the coefficient is flat
+    ends = sorted((MEASURES[which](lo), MEASURES[which](hi)))
+    straddles = lo < 1.0 < hi
+    lower, upper = ends[0], 1.0 if straddles else ends[1]
     return ConfidenceInterval(lower=lower, upper=upper,
                               level=ratio_interval.level, target=which,
                               contains_one=straddles)

@@ -9,12 +9,15 @@ The coefficient estimators plug the ratio estimate into the closed forms:
 delta, rho and lambda use R*, while the KL overlap uses the uncorrected
 R_hat.
 
-``taylor_variances`` and ``taylor_biases`` evaluate the first and second
-order expansion formulas for the sampling variance and bias of the four
-estimators exactly as published.  Each published bias is exactly 2x the
-textbook term 0.5 * g''(R) * Var(R*) (-2x for the KL overlap), which
-``taylor_bias_oracle`` computes from that identity; the Monte Carlo module
-reports which of the two versions tracks simulation.
+``taylor_moments`` gives the published first-order variances and
+second-order biases of the four estimators.  With u = log R, g_u and g_uu the
+u-derivatives of a closed form g and c = (n1+n2-1)/(n1(n2-2)), every
+variance is c * g_u^2 and every bias c * (g_uu - g_u), negated for the KL
+overlap.  Both come from one kernel per coefficient at the folded ratio
+s = min(R, 1/R) <= 1 of ``measures``, where no term overflows.  Each
+published bias is exactly 2x the textbook term 0.5 * g''(R) * Var(R*) (-2x
+for the KL overlap), which ``taylor_bias_oracle`` computes from that
+identity; the Monte Carlo module reports which version tracks simulation.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .measures import COEFFICIENTS, MEASURES, _log_ratio_over_gap
+from .measures import COEFFICIENTS, MEASURES, _fold, _log_over_gap
 
 
 class EmptySample(ValueError):
@@ -94,9 +97,9 @@ def variance_factor(n1: int, n2: int) -> float:
 
 
 def corrected_ratio(r_hat, n2: int):
-    """R* = R_hat * (n2 - 1) / n2, the unbiased ratio estimate; accepts a
-    float or an ndarray of R_hat values."""
-    return r_hat * (n2 - 1.0) / n2
+    """R* = R_hat * (n2 - 1) / n2, the unbiased ratio estimate, formed as
+    R_hat - R_hat / n2 so that it cannot overflow; float or ndarray R_hat."""
+    return r_hat - r_hat / n2
 
 
 def _sample_mean(x: np.ndarray) -> float:
@@ -137,79 +140,75 @@ def ovl_point_estimates(r_hat, r_star) -> dict:
             for key in COEFFICIENTS}
 
 
-def taylor_variances(r: float, n1: int, n2: int) -> dict[str, float]:
-    """First-order expansion of the sampling variances, as published.
+#: delta's h = (w + s log s)/w^2 and m = (w + log s)/w^2 lose about eps/w to
+#: cancellation, so below w = 1e-2 they are summed from their series in w.
+_H_SERIES = [1.0 / ((j + 1) * (j + 2)) for j in range(9, -1, -1)]
+_M_SERIES = [-1.0 / (j + 2) for j in range(9, -1, -1)]
 
-    With c = (n1+n2-1)/(n1(n2-2)):
 
-        Var(delta)  = c * R^(2/(1-R)) * (log R)^2 / (1-R)^2
-        Var(rho)    = c * R (1-R)^2 / (1+R)^4
-        Var(lambda) = c * 16 R^2 (1-R)^2 / (1+R)^6
-        Var(kl)     = c * R^2 (1-R^2)^2 / (R^2-R+1)^4
+def _delta_slopes(s, w, log_s):
+    q, direct = _log_over_gap(w, log_s), w >= 1e-2
+    w2 = np.where(direct, w * w, 1.0)
+    h = np.where(direct, (w + s * log_s) / w2, np.polyval(_H_SERIES, w))
+    m = np.where(direct, (w + log_s) / w2, np.polyval(_M_SERIES, w))
+    e = np.exp(s * q)
+    return -s * q * e, -s * e * (h + s * q * m)
 
-    At R = 1 the last three vanish and the delta formula takes its analytic
-    limit c * e^-2.  Each equals g'(R)^2 * Var(R*) for the matching closed
-    form g.
+
+#: Coefficient key -> (a, b) = (s g'(s), s^2 g''(s)) of its closed form g at
+#: the folded ratio (s, w = 1 - s, log s), as the published rational forms;
+#: s^2 - s + 1 is written 1 - s w.
+_SLOPES = {
+    "delta": _delta_slopes,
+    "rho": lambda s, w, _: (np.sqrt(s) * w / (1.0 + s) ** 2,
+                            np.sqrt(s) * (3.0 * s * (s - 2.0) - 1.0) / (2.0 * (1.0 + s) ** 3)),
+    "lambda": lambda s, w, _: (4.0 * s * w / (1.0 + s) ** 3,
+                               8.0 * s * s * (s - 2.0) / (1.0 + s) ** 4),
+    "kl_lambda": lambda s, w, _: (s * w * (1.0 + s) / (1.0 - s * w) ** 2,
+                                  s * s * (2.0 * s ** 3 - 6.0 * s + 2.0) / (1.0 - s * w) ** 3),
+}
+
+
+def taylor_moments(r: float, n1: int, n2: int) -> tuple[dict, dict]:
+    """(variances, biases) of the four estimators at the ratio r, as published.
+
+    With (a, b) from ``_SLOPES`` at s = min(r, 1/r), g_u = a and g_uu = a + b
+    at u = log s; g_u is odd in u and g_uu even.  So Var = c * g_u^2 = c * a^2,
+    and bias = c * (g_uu - g_u) is c * b for r <= 1 and c * (b + 2a) for
+    r > 1, negated for the KL overlap.  At r = 1 delta's variance takes its
+    limit c * e^-2, and its bias, with one-sided limits -+c/e, is NaN.
     """
-    if not (math.isfinite(r) and r > 0):
-        raise ValueError(f"r must be strictly positive, got {r!r}")
     c = variance_factor(n1, n2)
-    q = float(_log_ratio_over_gap(np.asarray(r, dtype=float)))
-    var_delta = c * math.exp(2.0 * q) * q * q
-    return {
-        "delta": var_delta,
-        "rho": c * r * (1.0 - r) ** 2 / (1.0 + r) ** 4,
-        "lambda": c * 16.0 * r ** 2 * (1.0 - r) ** 2 / (1.0 + r) ** 6,
-        "kl_lambda": c * r ** 2 * (1.0 - r ** 2) ** 2 / (r ** 2 - r + 1.0) ** 4,
-    }
+    folded = _fold(r)
+    variances, biases = {}, {}
+    for key in COEFFICIENTS:
+        a, b = _SLOPES[key](*folded)
+        bias = float(c * (b + 2.0 * a if r > 1.0 else b))
+        variances[key] = float(c * a * a)
+        biases[key] = -bias if key == "kl_lambda" else bias
+    if r == 1.0:
+        biases["delta"] = math.nan
+    return variances, biases
+
+
+def taylor_variances(r: float, n1: int, n2: int) -> dict[str, float]:
+    """The variances of ``taylor_moments``."""
+    return taylor_moments(r, n1, n2)[0]
 
 
 def taylor_biases(r: float, n1: int, n2: int) -> dict[str, float]:
-    """Second-order expansion of the sampling biases, verbatim as published.
-
-    The delta formula is piecewise in R with mirrored cube denominators; its
-    one-sided limits at R = 1 are +-c/e, so the value at R = 1 is undefined
-    and reported as NaN.  Each formula is exactly 2x the Taylor term
-    0.5 * g''(R) * Var(R*) (``taylor_bias_oracle``), -2x for the KL overlap;
-    both are kept so simulation can adjudicate.
-    """
-    if not (math.isfinite(r) and r > 0):
-        raise ValueError(f"r must be strictly positive, got {r!r}")
-    c = variance_factor(n1, n2)
-
-    t = r - 1.0
-    if t == 0.0:
-        bias_delta = math.nan
-    else:
-        q = float(_log_ratio_over_gap(np.asarray(r, dtype=float)))
-        power = math.exp((2.0 * r - 1.0) * q)
-        if abs(t) < 1e-5:
-            # numerator ~ t^3 - t^4/4; the cube denominators reduce it to
-            # +-(1 - t/4) with sign following the branch
-            core = (1.0 - 0.25 * t) * (1.0 if r > 1.0 else -1.0)
-        else:
-            log_r = math.log(r)
-            num = r * (2.0 * r - log_r - 2.0) * log_r - t * t
-            denom = t ** 3 if r > 1.0 else (-t) ** 3
-            core = num / denom
-        bias_delta = c * r ** 2 * power * core
-
-    return {
-        "delta": bias_delta,
-        "rho": c * math.sqrt(r) * (3.0 * r * (r - 2.0) - 1.0) / (2.0 * (r + 1.0) ** 3),
-        "lambda": c * 8.0 * r ** 2 * (r - 2.0) / (r + 1.0) ** 4,
-        "kl_lambda": -c * r ** 2 * (2.0 * r ** 3 - 6.0 * r + 2.0) / (r ** 2 - r + 1.0) ** 3,
-    }
+    """The biases of ``taylor_moments``."""
+    return taylor_moments(r, n1, n2)[1]
 
 
 def taylor_bias_oracle(r: float, n1: int, n2: int) -> dict[str, float]:
     """Second-order Taylor bias 0.5 * g''(R) * Var(R*) for each closed form g.
 
     Each published bias is exactly twice this term (minus twice for the KL
-    overlap), so it is read off ``taylor_biases``; delta's is NaN at R = 1.
+    overlap), so it is read off ``taylor_moments``; delta's is NaN at R = 1.
     """
     return {key: (-0.5 if key == "kl_lambda" else 0.5) * bias
-            for key, bias in taylor_biases(r, n1, n2).items()}
+            for key, bias in taylor_moments(r, n1, n2)[1].items()}
 
 
 @dataclass(frozen=True)
@@ -252,10 +251,6 @@ def estimate_report(sample: TwoSample) -> EstimateReport:
     """
     est = ratio_estimates(sample)
     r_star = est.r_hat_star
-    return EstimateReport(
-        ratio=est,
-        var_r_hat_star=r_star ** 2 * variance_factor(sample.n1, sample.n2),
-        points=ovl_point_estimates(est.r_hat, r_star),
-        variances=taylor_variances(r_star, sample.n1, sample.n2),
-        biases=taylor_biases(r_star, sample.n1, sample.n2),
-    )
+    return EstimateReport(est, r_star * r_star * variance_factor(sample.n1, sample.n2),
+                          ovl_point_estimates(est.r_hat, r_star),
+                          *taylor_moments(r_star, sample.n1, sample.n2))

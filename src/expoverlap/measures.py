@@ -12,6 +12,11 @@ Every coefficient lies in [0, 1], equals 1 exactly at r = 1, vanishes in the
 limits r -> 0 and r -> inf, satisfies OVL(r) = OVL(1/r), and is strictly
 increasing on (0, 1), strictly decreasing on (1, inf).
 
+They are evaluated through that symmetry: ``_fold`` maps r to
+s = min(r, 1/r) <= 1 (with w = 1 - s and log s), where each closed form is
+written so that no term overflows, and the Taylor terms of ``estimation``
+use the same fold.
+
 ``overlap_by_quadrature(rate1, rate2, which)`` evaluates the defining
 integrals numerically over the two densities rate * exp(-rate * x), with
 adaptive Gauss-Kronrod quadrature; the ratio is r = rate1 / rate2.  It never
@@ -32,60 +37,62 @@ from .distributions import NonConvergence
 COEFFICIENTS = ("delta", "rho", "lambda", "kl_lambda")
 
 
+def _fold(r):
+    """The arrays (s, w, log s) of s = min(r, 1/r) <= 1 and w = 1 - s.  Above 1
+    they are 1/r, (r - 1)/r and -log r, so w and log s keep full relative
+    accuracy near r = 1.  Raises ValueError for an empty argument or a ratio
+    that is not strictly positive and finite."""
+    r = np.asarray(r, dtype=float)
+    if r.size == 0:
+        raise ValueError("ratio argument is empty")
+    if not np.all(np.isfinite(r)) or not np.all(r > 0.0):
+        raise ValueError("ratio must be strictly positive and finite")
+    top = np.maximum(r, 1.0)
+    return np.minimum(r, 1.0 / top), np.abs(1.0 - r) / top, -np.abs(np.log(r))
+
+
+def _log_over_gap(w, log_s):
+    """q = log(s) / (1 - s) of a folded ratio, extended by continuity to -1 at s = 1."""
+    return np.divide(log_s, w, out=np.full_like(w, -1.0), where=w != 0.0)
+
+
 def _closed_form(formula):
-    """Wrap a closed form of the ratio: reject an empty, non-positive or
-    non-finite ratio, clip the value to [0, 1] against sub-ulp excursions at
-    extreme ratios, and return a float for a float, an ndarray for an ndarray."""
+    """A function of the ratio r from a closed form on its fold (s, w, log s),
+    clipped to [0, 1]; a float for a float r, an ndarray for an ndarray."""
     @functools.wraps(formula)
     def closed_form(r):
-        arr = np.asarray(r, dtype=float)
-        if arr.size == 0:
-            raise ValueError("ratio argument is empty")
-        if not np.all(np.isfinite(arr)) or not np.all(arr > 0.0):
-            raise ValueError("ratio must be strictly positive and finite")
-        val = np.clip(formula(arr), 0.0, 1.0)
-        return float(val) if arr.ndim == 0 else val
+        folded = _fold(r)
+        val = np.clip(formula(*folded), 0.0, 1.0)
+        return float(val) if folded[0].ndim == 0 else val
+    del closed_form.__wrapped__  # its signature is (r), not that of the formula
     return closed_form
 
 
-def _log_ratio_over_gap(r: np.ndarray) -> np.ndarray:
-    """log(r) / (1 - r), extended by continuity to -1 at r = 1.
-
-    1 - r is exact on [1/2, 2] (Sterbenz's lemma), so the plain quotient keeps
-    full relative accuracy right up to r = 1 +- 2**-52.
-    """
-    return np.divide(np.log(r), 1.0 - r, out=np.full_like(r, -1.0), where=r != 1.0)
+@_closed_form
+def weitzman_delta(s, w, log_s):
+    """Weitzman overlap 1 - |1 - 1/r| * r**(1/(1-r)), the area under min(f1, f2);
+    it is s e^(sq) - expm1(sq) with s = min(r, 1/r), q = log(s) / (1 - s)."""
+    sq = s * _log_over_gap(w, log_s)
+    return s * np.exp(sq) - np.expm1(sq)
 
 
 @_closed_form
-def weitzman_delta(r):
-    """Weitzman overlap: the area under the pointwise minimum of the densities.
-
-    Returns 1 - |1 - 1/r| * r**(1/(1-r)), which is exactly 1 at r = 1.
-    Accepts a float or an ndarray of ratios.
-    """
-    return 1.0 - np.abs(1.0 - 1.0 / r) * np.exp(_log_ratio_over_gap(r))
-
-
-@_closed_form
-def matusita_rho(r):
+def matusita_rho(s, w, log_s):
     """Matusita overlap 2*sqrt(r)/(1 + r) (the Bhattacharyya affinity)."""
-    return 2.0 * np.sqrt(r) / (1.0 + r)
+    return 2.0 * np.sqrt(s) / (1.0 + s)
 
 
 @_closed_form
-def morisita_lambda(r):
-    """Morisita similarity index 4*r/(1 + r)**2, scaled last so that 4*r cannot overflow."""
-    return 4.0 * (r / (1.0 + r) ** 2)
+def morisita_lambda(s, w, log_s):
+    """Morisita similarity index 4*r/(1 + r)**2."""
+    return 4.0 * s / (1.0 + s) ** 2
 
 
 @_closed_form
-def kl_lambda(r):
-    """Overlap 1 / (1 + J), J = (r - 1)^2 / r the symmetric KL divergence: r / (r^2 - r + 1).
-
-    The denominator is positive for every real r, so there is no singularity.
-    """
-    return r / (r * r - r + 1.0)
+def kl_lambda(s, w, log_s):
+    """Overlap 1 / (1 + J), J = (r - 1)^2 / r the symmetric KL divergence: r / (r^2 - r + 1);
+    at s = min(r, 1/r) it is s / (1 - s (1 - s)), with the denominator in [3/4, 1]."""
+    return s / (1.0 - s * w)
 
 
 #: Coefficient key -> closed-form function of the ratio.

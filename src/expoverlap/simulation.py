@@ -322,8 +322,7 @@ def theoretical_vs_empirical(table: SimulationTable) -> TheoryComparisonReport:
     closer_counts: dict[str, dict[str, int]] = {
         key: {"formula": 0, "oracle": 0, "tie": 0} for key in COEFFICIENTS}
     for cell in table.cells:
-        variances = estimation.taylor_variances(cell.r, cell.n1, cell.n2)
-        biases = estimation.taylor_biases(cell.r, cell.n1, cell.n2)
+        variances, biases = estimation.taylor_moments(cell.r, cell.n1, cell.n2)
         oracle = estimation.taylor_bias_oracle(cell.r, cell.n1, cell.n2)
         for key in COEFFICIENTS:
             stats = cell.stats[key]

@@ -284,11 +284,11 @@ def test_criterion_9_bias_adjudication_report(default_table):
 #: SIMD ``log``, so these hold for one numpy build and set of CPU features;
 #: a change that alters output bytes on purpose re-pins them.
 GOLDEN_DIGESTS = {
-    "cells.csv": "9a501cc4338f83bad2217746207fdc9c11428392abc599d3694efed884b7f9f7",
-    "bias_vs_r.csv": "fe0f70a589c963910ee0d489b7286a4007e667a1cf5f095c0883d5da53d010f2",
-    "std_vs_r.csv": "5558dd812f2a23ae25602abfbdbdad75772292b82a80aa0da7b4dec050c43ce7",
-    "mse_vs_r.csv": "35a0fd65e94112607eaa1744dfea7b7725b96ac2fdb72de145b49523be080cc5",
-    "summary.json": "0da03ed73df5a688ace2ba8e052d979b113806afc59ce403fa65ccb5eaf85813",
+    "cells.csv": "c84a3980d6ce939c5dfeb72b65e49b2f2d54858e74de01dea6eafaa907c34654",
+    "bias_vs_r.csv": "e3103de8da6719ae748a50c25a25c8081b398952ee1e3a8faff928e1a8908683",
+    "std_vs_r.csv": "af4ba81899ddad671e3a8bf63f6059914198ac841854b25efe42b69b483141dd",
+    "mse_vs_r.csv": "5d7bc19cd8d237ac4c823fa70342e0533ea606b01eaa70b3cde34161d4868396",
+    "summary.json": "2df0041e36cafd62fd4377789deba139101d36eb2ea6cc7536aa58459eaabb74",
 }
 
 

@@ -1,10 +1,13 @@
 import csv
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from expoverlap import checks, confidence, distributions, measures
 from expoverlap.cli import SampleFileError, main, read_sample_file
@@ -143,6 +146,52 @@ def test_ratio_outside_float_range_is_input_error(runner, tmp_path, command):
         assert "outside the float range" in res.output
 
 
+#: Sample pairs whose ratios once overflowed a Taylor term, a closed form or
+#: r_hat_star: (values of file 1, values of file 2), 40 observations each.
+_EXTREME_PAIRS = {
+    "r_hat 3.6e38": ([3.6e38] * 40, [1.0] * 40),
+    "r_hat 1e40": ([1e40] * 40, [1.0] * 40),
+    "r_hat 1.4e200": ([1.4e200] * 40, [1.0] * 40),
+    "subnormal r_hat": ([1e-310 * (1.0 + k / 39) for k in range(40)], [1.0] * 40),
+    "subnormal means": ([1e-310 * (1.0 + k / 39) for k in range(40)], [3e-310] * 40),
+    "means 1e307 against 1": ([1e307] * 40, [1.0] * 40),
+    "r_hat 1e-16": ([1.0] * 40, [1e16] * 40),
+}
+
+
+@pytest.mark.parametrize("command", ["estimate", "ci"])
+@pytest.mark.parametrize("pair", list(_EXTREME_PAIRS))
+def test_extreme_ratios_exit_zero(runner, tmp_path, command, pair):
+    files = [_write_sample(tmp_path / f"{i}.txt", values)
+             for i, values in enumerate(_EXTREME_PAIRS[pair])]
+    res = runner.invoke(main, ["--format", "json", command, *files])
+    assert res.exit_code == 0, res.output
+    payload = json.loads(res.output)
+    if command == "ci":
+        for interval in payload["coefficients"].values():
+            assert 0.0 <= interval["lower"] <= interval["upper"] <= 1.0
+    else:
+        # r_hat_star * r_hat_star * c is past the float range above ~1.3e154
+        assert (payload["var_r_hat_star"] == math.inf) == (payload["r_hat_star"] > 1.3e154)
+        assert all(math.isfinite(v) for v in payload["variances"].values())
+        assert all(math.isfinite(v) for v in payload["biases"].values())
+
+
+@pytest.mark.parametrize("r", ["1e160", "1e200", "1e-200", "1e-310"])
+def test_simulate_extreme_ratio_exits_zero(runner, tmp_path, r):
+    out = tmp_path / "sim"
+    res = runner.invoke(main, ["--output", str(out), "simulate",
+                               "--r", r, "--n", "20", "--reps", "10"])
+    assert res.exit_code == 0, res.output
+    entries = json.loads((out / "summary.json").read_text())["theory_comparison"]["entries"]
+    delta = next(e for e in entries if e["coefficient"] == "delta")
+    c = 39.0 / 360.0
+    if float(r) < 1e-300:  # r is subnormal, so only a few of its bits are kept
+        assert delta["bias_formula"] < 0.0
+    elif float(r) < 1.0:  # delta's bias is about -c r there, not -0.0
+        assert math.isclose(delta["bias_formula"], -c * float(r), rel_tol=1e-6)
+
+
 def test_estimate_missing_file(runner, constant_files):
     res = runner.invoke(main, ["estimate", constant_files[0], "/nonexistent/file.txt"])
     assert res.exit_code == 2
@@ -273,11 +322,11 @@ def test_curves_lambda_is_rho_squared(runner):
 
 
 def test_curves_table_prints_huge_ratios_compactly(runner):
-    # fixed-point would print r = 5e149 with 150 digits
-    res = runner.invoke(main, ["curves", "--r-min", "1", "--r-max", "1e150", "--points", "3"])
+    # fixed-point would print r = 5e307 with 308 digits
+    res = runner.invoke(main, ["curves", "--r-min", "1", "--r-max", "1e308", "--points", "3"])
     assert res.exit_code == 0
     rows = res.output.splitlines()
-    assert [row.split()[0] for row in rows[1:]] == ["1", "5e+149", "1e+150"]
+    assert [row.split()[0] for row in rows[1:]] == ["1", "5e+307", "1e+308"]
     assert len({len(row) for row in rows}) == 1
 
 
@@ -289,6 +338,36 @@ def test_curves_usage_errors(runner, tmp_path):
     assert runner.invoke(main, ["curves", "--r-min", "0.5", "--r-max", "2",
                                 "--svg", str(svg)]).exit_code == 2
     assert not svg.exists()
+
+
+_SCALES = st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e)
+_LEVELS = st.one_of(st.floats(1e-12, 1e-3), st.floats(0.999, 1.0 - 1e-12))
+
+
+@settings(max_examples=100, deadline=None)
+@given(scales=st.tuples(_SCALES, _SCALES), sizes=st.tuples(st.integers(1, 1000),
+                                                           st.integers(1, 1000)),
+       seed=st.integers(0, 2 ** 32 - 1), level=_LEVELS,
+       fmt=st.sampled_from(["table", "csv", "json"]),
+       grid=st.tuples(_SCALES, _SCALES, st.integers(2, 50)))
+def test_cli_ends_in_a_documented_exit_code(tmp_path_factory, scales, sizes, seed, level,
+                                            fmt, grid):
+    # every run ends in 0, 2, 3 or 6 with no traceback and no RuntimeWarning
+    root = tmp_path_factory.mktemp("cli")
+    rng = np.random.default_rng(seed)
+    files = [_write_sample(root / f"{i}.txt", scale * rng.standard_exponential(n))
+             for i, (scale, n) in enumerate(zip(scales, sizes))]
+    r_min, r_max, points = grid
+    runs = (["estimate", *files], ["ci", *files, "--level", repr(level)],
+            ["curves", "--r-min", repr(r_min), "--r-max", repr(r_max),
+             "--points", str(points)])
+    for args in runs:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            res = CliRunner().invoke(main, ["--format", fmt, *args])
+        assert res.exit_code in (0, 2, 3, 6), (args, res.output, res.exception)
+        assert res.exception is None or isinstance(res.exception, SystemExit), args
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], args
 
 
 # --- simulate ---------------------------------------------------------------------

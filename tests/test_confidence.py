@@ -48,6 +48,17 @@ def test_ratio_ci_at_huge_ratio_is_finite():
     assert not ci.contains_one
 
 
+def test_ovl_ci_orders_images_that_rounding_swaps():
+    # the coefficients are flat just below 1: there rho maps these two limits,
+    # one ulp apart, to values in the wrong order, and ci raised "lower
+    # exceeds upper"
+    lo = 0.9999999000000004
+    hi = lo + np.spacing(lo)
+    for key, interval in all_ovl_cis(_ratio_interval(lo, hi)).items():
+        assert interval.lower == min(MEASURES[key](lo), MEASURES[key](hi)), key
+        assert interval.upper == max(MEASURES[key](lo), MEASURES[key](hi)), key
+
+
 def test_ratio_ci_scales_linearly():
     base = ratio_ci(_estimates(0.7), level=0.9)
     doubled = ratio_ci(_estimates(1.4), level=0.9)

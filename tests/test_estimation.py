@@ -10,11 +10,13 @@ from expoverlap.estimation import (
     InsufficientSampleSize,
     NonPositiveObservation,
     TwoSample,
+    corrected_ratio,
     estimate_report,
     ovl_point_estimates,
     ratio_estimates,
     taylor_bias_oracle,
     taylor_biases,
+    taylor_moments,
     taylor_variances,
     variance_factor,
 )
@@ -71,6 +73,13 @@ def test_corrected_ratio_is_unbiased():
     r_star = (m1 / m2) * (n - 1) / n
     se = r_star.std() / math.sqrt(reps)
     assert abs(r_star.mean() - 0.5) <= 3 * se
+
+
+def test_corrected_ratio_does_not_overflow():
+    # r_hat (n2 - 1) is past the float range here; r_hat - r_hat / n2 is not
+    got = corrected_ratio(1e307, 40)
+    assert math.isfinite(got)
+    assert math.isclose(got, 9.75e306, rel_tol=1e-15)
 
 
 # --- point estimates ------------------------------------------------------------
@@ -214,7 +223,7 @@ _MP_CLOSED_FORMS = {
 def test_bias_oracle_is_half_g2_var_against_mpmath():
     n1, n2 = 15, 40
     ratios = [float(r) for r in np.geomspace(1e-3, 1e3, 40)]
-    ratios += [1.0 - 1e-3, 1.0 + 1e-3, 1.0 - 1e-7, 1.0 + 1e-7]
+    ratios += [1.0 - 1e-3, 1.0 + 1e-3, 1.0 - 1e-5, 1.0 + 1e-5, 1.0 - 1e-7, 1.0 + 1e-7]
     for r in ratios:
         oracle = taylor_bias_oracle(r, n1, n2)
         with mpmath.workdps(50):
@@ -222,8 +231,38 @@ def test_bias_oracle_is_half_g2_var_against_mpmath():
             var_r_star = x ** 2 * (n1 + n2 - 1) / (n1 * (n2 - mpmath.mpf(2)))
             for key, g in _MP_CLOSED_FORMS.items():
                 expected = float(mpmath.diff(g, x, 2) * var_r_star / 2)
-                tol = 1e-5 if key == "delta" and abs(r - 1.0) < 1e-2 else 1e-9
+                tol = 1e-12 if key == "delta" and abs(r - 1.0) < 1e-2 else 1e-9
                 assert abs(oracle[key] - expected) <= tol * abs(expected), (key, r)
+
+
+#: Ratios of the log-coordinate check: both ends of the float range, a
+#: geometric grid that avoids r = 1, and both sides of 1 close in.
+_MP_RATIOS = [1e-300, 1e-200, 1e-100, *(float(r) for r in np.geomspace(1e-12, 1e12, 48)),
+              1.0 - 1e-3, 1.0 + 1e-3, 1.0 - 1e-5, 1.0 + 1e-5, 1.0 - 1e-7, 1.0 + 1e-7,
+              1e100, 1e200, 1e300, 1.7e308]
+
+
+@pytest.mark.parametrize("key", COEFFICIENTS)
+def test_values_and_taylor_terms_match_mpmath_in_log_coordinates(key):
+    # with u = log r: value g, variance c g_u^2 and bias c (g_uu - g_u),
+    # negated for KL.  Delta's closed form cancels to ~r at tiny r (and ~1/r
+    # at huge r), so its digits grow with |log10 r|.
+    n1, n2 = 15, 40
+    c = variance_factor(n1, n2)
+    g = _MP_CLOSED_FORMS[key]
+    sign = -1 if key == "kl_lambda" else 1
+    for r in _MP_RATIOS:
+        variances, biases = taylor_moments(r, n1, n2)
+        with mpmath.workdps(40 + (int(abs(math.log10(r))) if key == "delta" else 0)):
+            u = mpmath.log(mpmath.mpf(r))
+            g_u = mpmath.diff(lambda t: g(mpmath.exp(t)), u, 1)
+            g_uu = mpmath.diff(lambda t: g(mpmath.exp(t)), u, 2)
+            exact = {"value": float(g(mpmath.mpf(r))), "variance": float(c * g_u ** 2),
+                     "bias": float(sign * c * (g_uu - g_u))}
+        got = {"value": MEASURES[key](r), "variance": variances[key], "bias": biases[key]}
+        for name, want in exact.items():
+            if abs(want) >= 2.3e-308:
+                assert abs(got[name] - want) <= 1e-12 * abs(want), (name, r)
 
 
 def test_bias_oracle_nan_for_delta_at_corner():

@@ -49,24 +49,24 @@ DIGESTS = {
     "40x35 estimate table": "4ee73dc1d74e4fbf8598a177d7d6caba6e0495401990e86ca7ba523f222646a3",
     "40x35 ci table 0.9": "6194cf7bc975ad0531a05dd123651b019c61661b27971bcae56fcc787baded92",
     "40x35 ci table 0.999": "d7e4626fb2271f16dcd282cf91908e67afe785d11059f6a42c35ba4ef31a6692",
-    "40x35 estimate csv": "7f679bfb3450662251a52cddec57ff0476cbb242d70aa963040504a94de7b9ab",
-    "40x35 ci csv 0.9": "0999eaeba285e04d35063ceca73535773ddebcec6b379a7b7295a727cf61005a",
-    "40x35 ci csv 0.999": "933050cca49b03cbdf201f519995de23623359b5951631be491d2bd8478de4f8",
-    "40x35 estimate json": "a8b39c023c9a397e5addc23ad8e382f57a8ad44638372e284606e2795ba23e82",
-    "40x35 ci json 0.9": "734efbf87f2f67746bef01e2e508f43320913c2eda371668ddd3dcbb554814d6",
-    "40x35 ci json 0.999": "02568bc588f6d5ae929160e4bf1ad97a90a4da88db48b386905ff3575e3b372d",
+    "40x35 estimate csv": "d2e4cf9418de64d9085fe8380b91f3b95d30cfd0a53b7bc7e0315da09b6ac51c",
+    "40x35 ci csv 0.9": "396ee92ec7615b899b0236319300d7076984a8ab88becfe0b16f45741ce0e76c",
+    "40x35 ci csv 0.999": "27272e3b1fbbc184737cd36fa3a407155dcc077a74f50e145ee24f975555833f",
+    "40x35 estimate json": "1f23cbf3a1c55fb9c7ae2ac4ca0d572c7f15a81a9d6c5b0ee6066455783687df",
+    "40x35 ci json 0.9": "4958e4ef57f2f14a2187886f3d50686c8d0cf895bcf9122407a8b591ef2dc8d1",
+    "40x35 ci json 0.999": "8e292a31199221579808fd662c69241215af1c0a28440fc5c8674515131ccd9f",
     "1000x3 estimate table": "9ef19d93d7817d8887900bb245a5f5b2b70a8971e28210110f521f834f62c4a1",
     "1000x3 ci table 0.9": "e6eb9fcf63441c7ed5d6599837c7e6c46402265e3da84b3d075579d6124cf07d",
     "1000x3 ci table 0.999": "680f277bf6684c9f5b1193a36d0e9bcce55d62e651cbe06c6fac99518121bd22",
-    "1000x3 estimate csv": "b1c1a9c8ae2ddc222a197234ff46d85d6a696595c10917b4eccfd6e41cfd5d69",
-    "1000x3 ci csv 0.9": "77924d0d78242e70633e73cb949c083e0e257f3d80ce4bbc59026bbefcd0c278",
-    "1000x3 ci csv 0.999": "9be2bebfa2085d249bd6cdee1494539a28f9d1d0ff5b099961171ed6da6ca48c",
-    "1000x3 estimate json": "d79c6393f13fb262f8fca62466995c73a042926f6b59af296c73c638ad1af290",
-    "1000x3 ci json 0.9": "8ddf1ae7a956f86551b144622b294cf9a93e26023c63bd11ff5806b4bb7df7bc",
-    "1000x3 ci json 0.999": "4fb00a8d4b7d6adc2958a81fe8110849e25ad0cc6687f9bc40a8ea898e1914e5",
+    "1000x3 estimate csv": "facac204876cca14d533d40e1af9ecf29aed930d80a88e38a799e8ba24944f12",
+    "1000x3 ci csv 0.9": "b79d0f21ba54c385a270b15a8b3cb3ace233421bfbfb3c6f1ff41b5bb1a10b37",
+    "1000x3 ci csv 0.999": "e8816581c96c1e1747e93a7cd2c4d0d4f2058275d8560a9bee84251b05aade99",
+    "1000x3 estimate json": "b47cac29674a91d3cc3d4c2c610f8acd570bd187ce0fac912834e74d46030db8",
+    "1000x3 ci json 0.9": "8df1801ff390b2eb7356b93d1fff78404c99c5ec40b9ccbcb153a1ba25dc8103",
+    "1000x3 ci json 0.999": "c2a89d9452be11457f4e00ff2ffa5c1466ab10de67a10f19d602a4ed968c2b09",
     "curves table": "c9a3aa26b3af81519900ef4ed1819d65d5abf34997712a244d65b44008491e1b",
-    "curves csv": "1fe8ba54bfcdb218382086e7dd684ed5f54eb08cd5abe703f43ef09c46d1ccba",
-    "curves json": "8757a1441ac56ffd8d806a85f7834690682702cd176deb6d53fc2bcd0b6e9af9",
+    "curves csv": "06b29cfd1ddf410dbc0c5d2e81c928a5f040c989a0a2fd0d58ad25afad80fc20",
+    "curves json": "4325eea7d35c9a6a45ddd8bca9e31a22a61e191c3f7bd7d202e1827331d7d99c",
     "check json 7": "0c34df2bf456682bf9ce6584b70fa45800d02be6ed4e67abe5f37a8b0393fea2",
 }
 

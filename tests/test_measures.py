@@ -12,7 +12,8 @@ from expoverlap.distributions import NonConvergence
 from expoverlap.measures import (
     COEFFICIENTS,
     MEASURES,
-    _log_ratio_over_gap,
+    _fold,
+    _log_over_gap,
     integrate_adaptive,
     kl_lambda,
     matusita_rho,
@@ -171,29 +172,39 @@ def _near_one():
 
 
 def test_log_ratio_over_gap_matches_mpmath_near_one():
+    # q = log(s) / (1 - s) at the folded s = min(r, 1/r), on both sides of 1
     r = _near_one()
-    got = _log_ratio_over_gap(r)
+    got = _log_over_gap(*_fold(r)[1:])
     with mpmath.workdps(50):
-        exact = [float(mpmath.log(mpmath.mpf(ri)) / (1 - mpmath.mpf(ri))) for ri in r]
+        exact = []
+        for ri in r:
+            s = min(mpmath.mpf(ri), 1 / mpmath.mpf(ri))
+            exact.append(float(mpmath.log(s) / (1 - s)))
     for ri, gi, ei in zip(r, got, exact):
         assert abs(gi - ei) <= 2 * np.spacing(abs(ei)), ri
-    assert _log_ratio_over_gap(np.array([1.0]))[0] == -1.0
+    assert _log_over_gap(*_fold(np.array([1.0]))[1:])[0] == -1.0
 
 
-@pytest.mark.parametrize("fn", [weitzman_delta, matusita_rho])
+@pytest.mark.parametrize("fn", list(MEASURES.values()))
 def test_closed_forms_quiet_over_full_range(fn):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        vals = fn(np.geomspace(1e-300, 1e300, 601))
+        vals = fn(np.geomspace(1e-320, 1.79e308, 601))
     assert np.all((vals >= 0.0) & (vals <= 1.0))
+
+
+def test_delta_non_decreasing_up_to_one():
+    # 1 - (1 - s) e^(s q) lost monotony below r ~ 1e-10, which swapped the
+    # limits of a ci at r_hat ~ 1e-16
+    vals = weitzman_delta(np.geomspace(1e-320, 1.0, 20001))
+    assert np.all(np.diff(vals) >= 0.0)
+    assert vals[-1] == 1.0
 
 
 @pytest.mark.parametrize("r", [4.5e307, 1.79e308])
 def test_closed_forms_in_range_at_huge_ratios(r):
     # (1 + r)^2 and r^2 overflow here; 4 r must not turn lambda into inf/inf
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        vals = [fn(r) for fn in MEASURES.values()]
+    vals = [fn(r) for fn in MEASURES.values()]
     assert all(0.0 <= v <= 1.0 for v in vals), vals
 
 
