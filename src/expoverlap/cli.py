@@ -13,10 +13,14 @@ Sample files are UTF-8 text, split into lines by ``str.splitlines`` and
 stripped by ``str.strip``.  A blank line is skipped, and so is a line whose
 first non-blank character is '#', the only place '#' opens a comment.  Every
 other line holds one value in Python ``float`` syntax, positive and finite.
+The text is split once.  Leading blank or '#' lines, then values and empty
+lines, are parsed in one pass; any other file takes the line-by-line loop,
+which names the first bad line.
 
 Exit codes: 0 ok, 2 unreadable input, a ratio of sample means outside the
 float range, unwritable output or usage error,
-3 insufficient data or bad configuration, 4 reproduction gate failure,
+3 insufficient data or bad configuration (a ``simulate`` ratio whose draws
+overflow), 4 reproduction gate failure,
 5 self-check failure, 6 numerical method did not converge.
 """
 
@@ -29,6 +33,7 @@ import math
 import sys
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
+from itertools import islice
 from pathlib import Path
 
 import click
@@ -76,75 +81,48 @@ def _writing(name=None):
 
 
 def read_sample_file(path: str) -> np.ndarray:
-    """The observations of a sample file, read once; see the module docstring."""
+    """The observations of a sample file, read once; see the module docstring.
+
+    ``float`` accepts a line only where ``str.strip`` leaves that one value,
+    so the one-pass parse gives the bits of ``_parse_lines``.
+    """
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
     except OSError as exc:
         raise SampleFileError(f"{path}: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:
         raise SampleFileError(f"{path}: not UTF-8 text (byte {exc.start})") from exc
-    values = _parse_plain(text)
-    return _parse_lines(path, text) if values is None else values
-
-
-def _parse_plain(text: str) -> np.ndarray | None:
-    """The values of a file of leading '#' lines, then one valid value per line,
-    blank lines anywhere and no other '#'; None for any other file.
-
-    Reading the text made every line end in "\n".  A line that ``float``
-    accepts is one value between whitespace, and ``str.splitlines`` and
-    ``str.strip`` make the same one value of it, so whatever this returns has
-    the bits ``_parse_lines`` gives.  The header check keeps a '#' line from
-    hiding a value behind another separator that ``str.splitlines`` honours.
-    A '#' after the header is found before any line is split.
-    """
     start = 0
-    while text.startswith(("#", "\n"), start):
-        start = text.find("\n", start) + 1
-        if not start:
-            return None
-    head = text[:start]
-    n_head = head.count("\n")
-    if text.find("#", start) >= 0 or len(head.splitlines()) != n_head:
-        return None
-    lines = text.split("\n")
-    del lines[:n_head]
-    while lines and not lines[-1].strip():
-        lines.pop()
-    if not all(lines):
-        lines = [t for t in lines if t]
-    if not lines:
-        return None
+    while start < len(lines) and lines[start].lstrip()[:1] in ("", "#"):
+        start += 1
     try:
-        values = np.fromiter(map(float, lines), dtype=float, count=len(lines))
+        values = np.fromiter(map(float, filter(None, islice(lines, start, None))),
+                             dtype=float)
+        if values.size and 0.0 < values.min() and values.max() < math.inf:
+            return values
     except ValueError:
-        return None
-    return values if 0.0 < values.min() and values.max() < math.inf else None
+        pass
+    return _parse_lines(path, lines)
 
 
-def _parse_lines(path: str, text: str) -> np.ndarray:
+def _parse_lines(path: str, lines: list[str]) -> np.ndarray:
     """Any file: skip blank and '#' lines, else raise naming the first bad line."""
-    lines = text.splitlines()
-    texts = [t for t in map(str.strip, lines) if t and t[0] != "#"]
-    try:
-        values = np.fromiter(map(float, texts), dtype=float, count=len(texts))
-    except ValueError:
-        values = None
-    if values is None or not np.all((values > 0.0) & (values < math.inf)):
-        for lineno, raw in enumerate(lines, start=1):
-            text = raw.strip()
-            if not text or text.startswith("#"):
-                continue
-            try:
-                value = float(text)
-            except ValueError as exc:
-                raise SampleFileError(f"{path}:{lineno}: not a number: {text!r}") from exc
-            if not math.isfinite(value) or value <= 0.0:
-                raise SampleFileError(
-                    f"{path}:{lineno}: observations must be positive and finite, got {text}")
-    if not texts:
+    values = []
+    for lineno, raw in enumerate(lines, start=1):
+        text = raw.strip()
+        if not text or text[0] == "#":
+            continue
+        try:
+            value = float(text)
+        except ValueError as exc:
+            raise SampleFileError(f"{path}:{lineno}: not a number: {text!r}") from exc
+        if not 0.0 < value < math.inf:
+            raise SampleFileError(
+                f"{path}:{lineno}: observations must be positive and finite, got {text}")
+        values.append(value)
+    if not values:
         raise SampleFileError(f"{path}: no observations found")
-    return values
+    return np.array(values)
 
 
 @dataclass

@@ -7,6 +7,8 @@ for R.  With q(d1, d2; p) the p-quantile of F(d1, d2):
 
 L uses 1 / F(d1, d2) ~ F(d2, d1), so the upper tail is never formed as
 1 - alpha/2, which loses accuracy and rounds to 1 for alpha/2 < 2^-54.
+A limit past the float range is clamped to the smallest or largest positive
+float, so no representable ratio inside the exact interval is lost.
 
 Each overlap coefficient is increasing in R on (0, 1] and decreasing on
 [1, inf), so the transformed interval is (OVL(L), OVL(U)) when U <= 1, the
@@ -19,6 +21,7 @@ its closed form (and keeping the endpoints inside [0, 1] for every x > 0).
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 from .distributions import f_quantile
@@ -27,6 +30,9 @@ from .measures import COEFFICIENTS, MEASURES
 
 #: Target name of the ratio interval; coefficient intervals carry their key.
 RATIO_TARGET = "ratio"
+
+#: The smallest and largest positive floats, the ends of a ratio limit.
+_TINY, _HUGE = 5e-324, sys.float_info.max
 
 
 class InvalidInterval(ValueError):
@@ -69,6 +75,7 @@ def ratio_ci(estimates: RatioEstimates, level: float = 0.95) -> ConfidenceInterv
     d1, d2 = 2 * estimates.n1, 2 * estimates.n2
     lower = estimates.r_hat * f_quantile(d2, d1, alpha / 2.0)
     upper = estimates.r_hat / f_quantile(d1, d2, alpha / 2.0)
+    lower, upper = (min(max(limit, _TINY), _HUGE) for limit in (lower, upper))
     return ConfidenceInterval(lower=lower, upper=upper, level=level,
                               target=RATIO_TARGET,
                               contains_one=lower < 1.0 < upper)

@@ -191,16 +191,6 @@ def taylor_moments(r: float, n1: int, n2: int) -> tuple[dict, dict]:
     return variances, biases
 
 
-def taylor_variances(r: float, n1: int, n2: int) -> dict[str, float]:
-    """The variances of ``taylor_moments``."""
-    return taylor_moments(r, n1, n2)[0]
-
-
-def taylor_biases(r: float, n1: int, n2: int) -> dict[str, float]:
-    """The biases of ``taylor_moments``."""
-    return taylor_moments(r, n1, n2)[1]
-
-
 def taylor_bias_oracle(r: float, n1: int, n2: int) -> dict[str, float]:
     """Second-order Taylor bias 0.5 * g''(R) * Var(R*) for each closed form g.
 

@@ -8,7 +8,7 @@ comparison tolerance floor of 0.01 makes the distinction irrelevant.
 
 The entries are output of the published second-order formulas, not of a
 simulation.  Each bias is the published bias formula at (R, n), as
-``estimation.taylor_biases(R, n, n)`` gives it, which is about twice the true
+``estimation.taylor_moments(R, n, n)[1]`` gives it, which is about twice the true
 bias (delta at (0.5, 20): table -0.031, formula -0.0311, exact -0.0154); the
 KL entries carry flipped signs at R = 0.2 and R = 0.8 (at (0.8, 20): table
 -0.20, formula +0.2078, exact -0.0662).  Each MSE is the published variance

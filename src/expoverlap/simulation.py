@@ -181,8 +181,13 @@ def run_cell(cfg: SimConfig, r: float, n: int, n2: int | None = None) -> SimCell
     if not (math.isfinite(r) and r > 0):
         raise ConfigError(f"r must be strictly positive, got {r!r}")
 
-    m1, m2 = _draw_means(cfg, r, n1, n2)
-    r_hat = m1 / m2
+    try:
+        with np.errstate(over="raise"):
+            m1, m2 = _draw_means(cfg, r, n1, n2)
+            r_hat = m1 / m2
+    except FloatingPointError:
+        raise ConfigError(f"ratio {r!r} overflows the float range in its draws, "
+                          "sample means or r_hat") from None
     estimates = estimation.ovl_point_estimates(r_hat, estimation.corrected_ratio(r_hat, n2))
     truth = measures.overlap_quartet(r)
 

@@ -1,12 +1,13 @@
 import csv
 import json
 import math
+import sys
 import warnings
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from expoverlap import checks, confidence, distributions, measures
@@ -192,6 +193,27 @@ def test_simulate_extreme_ratio_exits_zero(runner, tmp_path, r):
         assert math.isclose(delta["bias_formula"], -c * float(r), rel_tol=1e-6)
 
 
+@pytest.mark.parametrize("values, end", [(([1e-310], [1e10]), "lower"),
+                                         (([1e300], [1.0]), "upper")])
+def test_ci_clamps_ratio_limits_to_the_float_range(runner, tmp_path, values, end):
+    # r_hat * q underflows to 0, or r_hat / q overflows to inf, at this level
+    files = [_write_sample(tmp_path / f"{i}.txt", v) for i, v in enumerate(values)]
+    res = runner.invoke(main, ["--format", "json", "ci", *files,
+                               "--level", "0.999999999999"])
+    assert res.exit_code == 0, res.output
+    payload = json.loads(res.output)
+    assert payload["ratio"][end] == (5e-324 if end == "lower" else sys.float_info.max)
+    for interval in payload["coefficients"].values():
+        assert 0.0 <= interval["lower"] <= interval["upper"] <= 1.0
+
+
+def test_simulate_overflowing_ratio_is_config_error(runner, tmp_path):
+    res = runner.invoke(main, ["--output", str(tmp_path / "sim"), "simulate",
+                               "--r", "1e308", "--n", "20", "--reps", "10"])
+    assert res.exit_code == 3, res.output
+    assert "error: ratio 1e+308 overflows the float range" in res.output
+
+
 def test_estimate_missing_file(runner, constant_files):
     res = runner.invoke(main, ["estimate", constant_files[0], "/nonexistent/file.txt"])
     assert res.exit_code == 2
@@ -345,22 +367,31 @@ _LEVELS = st.one_of(st.floats(1e-12, 1e-3), st.floats(0.999, 1.0 - 1e-12))
 
 
 @settings(max_examples=100, deadline=None)
-@given(scales=st.tuples(_SCALES, _SCALES), sizes=st.tuples(st.integers(1, 1000),
-                                                           st.integers(1, 1000)),
+@given(scales=st.tuples(_SCALES, _SCALES), sizes=st.tuples(st.integers(1, 10_000),
+                                                           st.integers(1, 10_000)),
        seed=st.integers(0, 2 ** 32 - 1), level=_LEVELS,
        fmt=st.sampled_from(["table", "csv", "json"]),
-       grid=st.tuples(_SCALES, _SCALES, st.integers(2, 50)))
+       grid=st.tuples(_SCALES, _SCALES, st.integers(2, 50)),
+       study=st.tuples(st.one_of(_SCALES, st.just(1e308)), st.integers(2, 5)))
+# a ratio limit past the float range: r_hat * q underflows, r_hat / q overflows
+@example(scales=(1e-310, 1e10), sizes=(1, 1), seed=0, level=0.999999999999, fmt="json",
+         grid=(1.0, 2.0, 2), study=(1e308, 2))
+@example(scales=(1e300, 1.0), sizes=(1, 1), seed=0, level=0.999999999999, fmt="json",
+         grid=(1.0, 2.0, 2), study=(1e300, 2))
 def test_cli_ends_in_a_documented_exit_code(tmp_path_factory, scales, sizes, seed, level,
-                                            fmt, grid):
+                                            fmt, grid, study):
     # every run ends in 0, 2, 3 or 6 with no traceback and no RuntimeWarning
     root = tmp_path_factory.mktemp("cli")
     rng = np.random.default_rng(seed)
     files = [_write_sample(root / f"{i}.txt", scale * rng.standard_exponential(n))
              for i, (scale, n) in enumerate(zip(scales, sizes))]
     r_min, r_max, points = grid
+    ratio, reps = study
     runs = (["estimate", *files], ["ci", *files, "--level", repr(level)],
             ["curves", "--r-min", repr(r_min), "--r-max", repr(r_max),
-             "--points", str(points)])
+             "--points", str(points)],
+            ["--output", str(root / "sim"), "simulate", "--r", repr(ratio),
+             "--n", str(sizes[0]), "--reps", str(reps), "--seed", str(seed)])
     for args in runs:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")

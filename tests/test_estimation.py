@@ -15,9 +15,7 @@ from expoverlap.estimation import (
     ovl_point_estimates,
     ratio_estimates,
     taylor_bias_oracle,
-    taylor_biases,
     taylor_moments,
-    taylor_variances,
     variance_factor,
 )
 from expoverlap.measures import COEFFICIENTS, MEASURES, overlap_quartet
@@ -106,13 +104,13 @@ def test_kl_estimate_uses_uncorrected_ratio_by_default():
 # --- variance approximations -----------------------------------------------------
 
 def test_variances_at_unity():
-    v = taylor_variances(1.0, 20, 20)
+    v = taylor_moments(1.0, 20, 20)[0]
     assert v["rho"] == 0.0 and v["lambda"] == 0.0 and v["kl_lambda"] == 0.0
     assert abs(v["delta"] - (39.0 / 360.0) * math.exp(-2.0)) <= 1e-15
 
 
 def test_variance_rho_spot_value():
-    v = taylor_variances(0.5, 20, 20)
+    v = taylor_moments(0.5, 20, 20)[0]
     expected = (39.0 / 360.0) * 0.5 * 0.25 / 1.5 ** 4
     assert abs(v["rho"] - expected) <= 1e-15
 
@@ -123,7 +121,7 @@ def test_variance_kl_symbolic_anchor():
         c = variance_factor(20, 20)
         deriv = (1.0 - r ** 2) / (r ** 2 - r + 1.0) ** 2
         expected = deriv ** 2 * r ** 2 * c
-        got = taylor_variances(r, 20, 20)["kl_lambda"]
+        got = taylor_moments(r, 20, 20)[0]["kl_lambda"]
         assert abs(got - expected) <= 1e-10 * max(expected, 1e-300)
 
 
@@ -134,7 +132,7 @@ def test_variances_match_delta_method(r):
     c = variance_factor(n1, n2)
     var_r_star = r ** 2 * c
     h = 1e-6 * max(r, 1.0)
-    formulas = taylor_variances(r, n1, n2)
+    formulas = taylor_moments(r, n1, n2)[0]
     for key in COEFFICIENTS:
         g = MEASURES[key]
         deriv = (g(r + h) - g(r - h)) / (2 * h)
@@ -144,7 +142,7 @@ def test_variances_match_delta_method(r):
 
 def test_variance_requires_n2_above_two():
     with pytest.raises(InsufficientSampleSize):
-        taylor_variances(0.5, 20, 2)
+        taylor_moments(0.5, 20, 2)[0]
     with pytest.raises(InsufficientSampleSize):
         variance_factor(0, 20)
 
@@ -152,11 +150,11 @@ def test_variance_requires_n2_above_two():
 # --- bias approximations ----------------------------------------------------------
 
 def test_bias_lambda_vanishes_at_two():
-    assert taylor_biases(2.0, 20, 20)["lambda"] == 0.0
+    assert taylor_moments(2.0, 20, 20)[1]["lambda"] == 0.0
 
 
 def test_bias_kl_at_unity():
-    got = taylor_biases(1.0, 20, 20)["kl_lambda"]
+    got = taylor_moments(1.0, 20, 20)[1]["kl_lambda"]
     assert abs(got - (39.0 / 360.0) * 2.0) <= 1e-15
 
 
@@ -164,20 +162,20 @@ def test_bias_rho_spot_value():
     # direct substitution into the published expression
     c = 39.0 / 360.0
     expected = c * math.sqrt(0.5) * (3 * 0.5 * (0.5 - 2) - 1) / (2 * 1.5 ** 3)
-    got = taylor_biases(0.5, 20, 20)["rho"]
+    got = taylor_moments(0.5, 20, 20)[1]["rho"]
     assert abs(expected - (-0.03688303889522424)) <= 1e-15
     assert abs(got - expected) <= 1e-15
 
 
 def test_bias_delta_undefined_at_unity():
-    assert math.isnan(taylor_biases(1.0, 20, 20)["delta"])
+    assert math.isnan(taylor_moments(1.0, 20, 20)[1]["delta"])
 
 
 def test_bias_delta_one_sided_limits():
     # the two branches approach +-c/e
     c = 39.0 / 360.0
-    up = taylor_biases(1.0 + 1e-3, 20, 20)["delta"]
-    down = taylor_biases(1.0 - 1e-3, 20, 20)["delta"]
+    up = taylor_moments(1.0 + 1e-3, 20, 20)[1]["delta"]
+    down = taylor_moments(1.0 - 1e-3, 20, 20)[1]["delta"]
     assert abs(up - c / math.e) <= 0.02 * c / math.e
     assert abs(down + c / math.e) <= 0.02 * c / math.e
 
@@ -185,8 +183,8 @@ def test_bias_delta_one_sided_limits():
 def test_bias_delta_series_consistent_with_direct():
     # values just inside and outside the series threshold must agree
     for r in (1.0 + 9e-6, 1.0 - 9e-6):
-        series = taylor_biases(r, 20, 20)["delta"]
-        direct = taylor_biases(r + math.copysign(3e-6, r - 1.0), 20, 20)["delta"]
+        series = taylor_moments(r, 20, 20)[1]["delta"]
+        direct = taylor_moments(r + math.copysign(3e-6, r - 1.0), 20, 20)[1]["delta"]
         assert abs(series - direct) <= 5e-5 * abs(series)
 
 
@@ -277,7 +275,7 @@ def test_bias_oracle_is_half_published_formula():
     # each published bias carries exactly twice the Taylor term, minus
     # twice for the KL overlap
     for r in (1e-3, 0.2, 0.5, 0.8, 1.0 - 1e-7, 1.0 + 1e-7, 3.0, 300.0, 1e5):
-        published = taylor_biases(r, 20, 20)
+        published = taylor_moments(r, 20, 20)[1]
         oracle = taylor_bias_oracle(r, 20, 20)
         for key in COEFFICIENTS:
             sign = -1.0 if key == "kl_lambda" else 1.0
@@ -295,8 +293,8 @@ def test_estimate_report_constant_samples():
     assert abs(report.points["rho"] - 0.9996712148522013) <= 1e-12
     assert abs(report.points["lambda"] - 0.9993425378040762) <= 1e-12
     assert report.points["kl_lambda"] == 1.0
-    assert report.variances == taylor_variances(0.95, 20, 20)
-    assert report.biases == taylor_biases(0.95, 20, 20)
+    assert report.variances == taylor_moments(0.95, 20, 20)[0]
+    assert report.biases == taylor_moments(0.95, 20, 20)[1]
 
 
 def test_estimate_report_insufficient_n2():
@@ -346,7 +344,7 @@ def test_empirical_variance_matches_formula(r):
     m2 = sample_exponential(SeededStream(88, 1), 1.0, reps * n).reshape(reps, n).mean(axis=1)
     r_hat = m1 / m2
     r_star = r_hat * (n - 1) / n
-    formulas = taylor_variances(r, n, n)
+    formulas = taylor_moments(r, n, n)[0]
     ests = {
         "delta": MEASURES["delta"](r_star),
         "rho": MEASURES["rho"](r_star),
