@@ -5,7 +5,8 @@ inverse-CDF sampler, the regularized incomplete beta function by continued
 fraction, the F distribution CDF/quantile built on it, the gamma (Erlang) CDF
 of the exponential sample mean, and small Kolmogorov-Smirnov helpers used by
 the distribution-law self checks.  A scalar incomplete beta, as in each F
-quantile, runs on np.float64 scalars with the bits of a one-element array.
+quantile, runs its continued fraction on Python floats, with the bits of a
+one-element array.
 
 Everything here is deterministic: a (seed, stream_id) pair always produces
 the same variates under any execution order.  Each thread keeps one Philox,
@@ -106,8 +107,7 @@ def sample_exponential(stream: SeededStream | list[SeededStream], mean_theta: fl
     x = (stream.uniforms(n) if isinstance(stream, SeededStream)
          else np.concatenate([s.uniforms(n) for s in stream]).reshape(len(stream), n))
     np.log(x, out=x)
-    np.negative(x, out=x)
-    return np.multiply(mean_theta, x, out=x)
+    return np.multiply(-mean_theta, x, out=x)
 
 
 # ---------------------------------------------------------------------------
@@ -117,15 +117,17 @@ def sample_exponential(stream: SeededStream | list[SeededStream], mean_theta: fl
 _BETA_EPS = 1e-15
 
 
-def _beta_cf(a: float, b: float, x: np.ndarray, y: np.ndarray, lam: np.ndarray) -> np.ndarray:
+def _beta_cf(a: float, b: float, x, y, lam):
     """R with I_x(a, b) = R x^a y^b / B(a, b), for x <= a/(a+b) and y = 1 - x.
 
-    DiDonato & Morris (TOMS 708) bfrac, over an array or a np.float64 x.  lam = a - (a+b) x
-    is passed in so that a reflected call can form it from the exact original
-    x, not from the rounded 1 - x; no step then cancels near the mode.  Runs
+    DiDonato & Morris (TOMS 708) bfrac, over arrays or Python floats x, y, lam,
+    whose + - * / round as numpy's do.  lam = a - (a+b) x is passed in so that
+    a reflected call can form it from the exact original x, not from the
+    rounded 1 - x; no step then cancels near the mode.  Runs
     until every convergent moves by at most _BETA_EPS relative; near the mode
     that takes ~(a+b)^(1/3) terms (544 at a = b = 1e6), capped at 500 + 4 sqrt(a+b).
     """
+    scalar = isinstance(x, float)
     max_iter = 500 + int(4.0 * math.sqrt(a + b))
     c, c0, c1, yp1 = 1.0 + lam, b / a, 1.0 + 1.0 / a, y + 1.0
     p, s = 1.0, a + 1.0
@@ -138,7 +140,8 @@ def _beta_cf(a: float, b: float, x: np.ndarray, y: np.ndarray, lam: np.ndarray) 
         an, anp1 = anp1, alpha * an + beta * anp1
         bn, bnp1 = bnp1, alpha * bn + beta * bnp1
         r0, r = r, anp1 / bnp1
-        if (abs(r - r0) <= _BETA_EPS * r).all():
+        done = abs(r - r0) <= _BETA_EPS * r
+        if done if scalar else done.all():
             return r
         an, bn, anp1, bnp1 = an / bnp1, bn / bnp1, r, 1.0
     raise NonConvergence(
@@ -153,7 +156,9 @@ def _rlog1(e, log1p_e):
         poly = poly * (w * w) + 1.0 / k
     # w^3 by numpy's power for every input: a np.float64's ** is libm's pow
     series = e * w - 2.0 * np.power(w, 3) * poly
-    return np.where(abs(e) < 0.1, series, e - log1p_e)
+    if isinstance(e, np.ndarray):
+        return np.where(abs(e) < 0.1, series, e - log1p_e)
+    return series if abs(e) < 0.1 else e - log1p_e
 
 
 def _stirling_rest(z: float) -> float:
@@ -187,7 +192,7 @@ def regularized_incomplete_beta(a: float, b: float, x):
     The front factor x^a (1-x)^b / B(a, b) times the continued fraction of
     _beta_cf, switching through I_x(a, b) = 1 - I_{1-x}(b, a) above the mode
     a/(a+b).  Vectorized over x; a, b are scalars.  A scalar x runs the same
-    kernels on np.float64 scalars, with the bits of a one-element array.
+    continued fraction on Python floats, with the bits of a one-element array.
     """
     if not (a > 0 and b > 0):
         raise ValueError(f"a and b must be positive, got a={a}, b={b}")
@@ -198,11 +203,11 @@ def regularized_incomplete_beta(a: float, b: float, x):
         x = arr[()]
         if x == 0.0 or x == 1.0:
             return float(x == 1.0)  # +0.0 also at x = -0.0
-        front, lam = np.exp(_log_front(a, b, x)), a - (a + b) * x
+        front, lam, xf = np.exp(_log_front(a, b, x)), float(a - (a + b) * x), float(x)
         if lam > 0:
-            res = front * _beta_cf(a, b, x, 1.0 - x, lam)
+            res = front * _beta_cf(a, b, xf, 1.0 - xf, lam)
         else:
-            res = 1.0 - front * _beta_cf(b, a, 1.0 - x, x, -lam)
+            res = 1.0 - front * _beta_cf(b, a, 1.0 - xf, xf, -lam)
         return min(max(float(res), 0.0), 1.0)
     out = np.where(arr == 1.0, 1.0, 0.0)
     interior = (arr > 0.0) & (arr < 1.0)

@@ -142,16 +142,19 @@ _GK_WEIGHTS_G = np.array([
     0.279705391489277, 0.0, 0.129484966168870,
     0.0,
 ])
+#: The Kronrod and Gauss weights as the two columns of one (15, 2) matrix.
+_GK_WEIGHTS = np.stack([_GK_WEIGHTS_K, _GK_WEIGHTS_G], axis=1)
 
 
-def _gk15(f, a: float, b: float) -> tuple[float, float]:
-    """One Gauss-Kronrod 15(7) panel; returns (estimate, error_estimate)."""
-    half = 0.5 * (b - a)
-    xs = half * _GK_NODES + 0.5 * (a + b)
-    fx = np.asarray(f(xs), dtype=float)
-    k15 = half * float(np.dot(_GK_WEIGHTS_K, fx))
-    g7 = half * float(np.dot(_GK_WEIGHTS_G, fx))
-    return k15, abs(k15 - g7)
+def _gk15(f, lefts, rights) -> tuple[list[float], list[float]]:
+    """Gauss-Kronrod 15(7) panels [lefts[i], rights[i]] from one call of f on
+    all their nodes; returns each panel's estimate and error estimate."""
+    lefts, rights = np.asarray(lefts, dtype=float), np.asarray(rights, dtype=float)
+    half = 0.5 * (rights - lefts)
+    xs = half[:, None] * _GK_NODES + (0.5 * (lefts + rights))[:, None]
+    kg = np.asarray(f(xs), dtype=float) @ _GK_WEIGHTS
+    k15, g7 = half * kg[:, 0], half * kg[:, 1]
+    return k15.tolist(), np.abs(k15 - g7).tolist()
 
 
 #: Bisections integrate_adaptive may make before it raises NonConvergence.
@@ -165,6 +168,8 @@ def integrate_adaptive(f, a: float, b: float, tol: float = 1e-10,
     The worst interval (largest error estimate) is bisected until the summed
     error estimate drops below tol.  ``initial_points`` seeds extra interval
     boundaries, useful when the mass of the integrand is far from uniform.
+    f is called on arrays of nodes: once on those of all the seeded
+    intervals, then once per bisection on the 30 nodes of its two halves.
 
     Raises NonConvergence when the subdivision budget is exhausted.
     """
@@ -173,8 +178,7 @@ def integrate_adaptive(f, a: float, b: float, tol: float = 1e-10,
     heap: list[tuple[float, int, float, float, float]] = []
     counter = 0
     total_err = 0.0
-    for left, right in zip(pts, pts[1:]):
-        val, err = _gk15(f, left, right)
+    for left, right, val, err in zip(pts, pts[1:], *_gk15(f, pts[:-1], pts[1:])):
         heapq.heappush(heap, (-err, counter, left, right, val))
         counter += 1
         total_err += err
@@ -193,8 +197,8 @@ def integrate_adaptive(f, a: float, b: float, tol: float = 1e-10,
             heapq.heappush(heap, (0.0, counter, left, right, -neg_err))
             counter += 1
             continue
-        for lo, hi in ((left, mid), (mid, right)):
-            val, err = _gk15(f, lo, hi)
+        lefts, rights = (left, mid), (mid, right)
+        for lo, hi, val, err in zip(lefts, rights, *_gk15(f, lefts, rights)):
             heapq.heappush(heap, (-err, counter, lo, hi, val))
             counter += 1
             total_err += err

@@ -69,3 +69,6 @@ def test_tracer_counts_every_layer(tmp_path):
     assert metrics["distributions.f_cdf.per_quantile"] == 334 / 110
     assert metrics["distributions.incomplete_beta.points"] == 100_434
     assert metrics["measures.quadrature.calls"] == 200
+    # Gauss-Kronrod panels of check's 200 oracle calls, however the integrand
+    # calls are batched; the bisections do not depend on the seed
+    assert metrics["measures.quadrature.panels"] == 3502

@@ -293,7 +293,7 @@ def test_beta_vectorized():
     assert vec.shape == xs.shape
     for i, x in enumerate(xs):
         assert vec[i] == regularized_incomplete_beta(2.0, 3.0, float(x))
-    # A scalar x takes the np.float64 branch and gives the bits of a
+    # A scalar x takes the Python-float branch and gives the bits of a
     # one-element array, over both front-factor forms (max(a, b) below 30 and
     # from 30 on), both sides of the mode, within 1e-6 of it, and the ends.
     # At (3107, 274) and x = 0.9113351840981234, libm pow and numpy's power
@@ -332,6 +332,26 @@ def test_rlog1_scalar_is_an_array_element():
     vec = distributions._rlog1(es, logs)
     for e, log1p_e, want in zip(es, logs, vec):
         assert distributions._rlog1(e, log1p_e) == want, e
+
+
+_beta_shape = st.floats(min_value=math.log(0.5), max_value=math.log(2e6)).map(math.exp)
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=_beta_shape, b=_beta_shape, x=st.floats(min_value=0.0, max_value=1.0),
+       near_mode=st.booleans(), offset=st.floats(min_value=-1e-6, max_value=1e-6))
+@example(a=0.5, b=2e6, x=5e-324, near_mode=False, offset=0.0)
+@example(a=3.0, b=0.5, x=2.0 ** -1070, near_mode=False, offset=0.0)
+@example(a=0.5, b=0.5, x=1.0 - 2.0 ** -53, near_mode=False, offset=0.0)
+@example(a=2e6, b=2e6, x=0.0, near_mode=True, offset=0.0)
+def test_beta_scalar_is_a_one_element_array(a, b, x, near_mode, offset):
+    # the scalar branch runs the continued fraction on Python floats; its
+    # + - * / round as numpy's do, so it gives the bits of the array branch
+    if near_mode:
+        x = min(max(a / (a + b) * (1.0 + offset), 0.0), 1.0)
+    got = regularized_incomplete_beta(a, b, float(x))
+    assert type(got) is float
+    assert got == regularized_incomplete_beta(a, b, np.array([x]))[0]
 
 
 # --- F distribution -----------------------------------------------------------
@@ -425,6 +445,20 @@ def test_f_quantile_million_observations(prob):
     # df of two samples of 10^6 observations; a fixed 500-term cap failed here
     assert math.isclose(f_quantile(2_000_000, 2_000_000, prob),
                         stats.f.ppf(prob, 2_000_000, 2_000_000), rel_tol=1e-9)
+
+
+@pytest.mark.parametrize("d1,d2,prob,bits", [
+    (20_000_000, 20_000_000, 0.025, "0x3feff8d29ab51541"),
+    (6, 20_000_000, 1.0 - 1e-6, "0x4019816da74aae18"),
+    (2, 2, 1e-14, "0x3d06849b86a12bc0"),
+    (20, 20, 0.975, "0x4003b7438b1b9939"),
+    (20_000_000, 6, 0.5, "0x3ff1f3424a787fd8"),
+    (3107, 274, 0.1, "0x3feca85e5a80af23"),
+])
+def test_f_quantile_bits_are_pinned(d1, d2, prob, bits):
+    # the scalar incomplete beta's arithmetic, pinned under its own name
+    # rather than as an output digest mismatch of ci or check
+    assert hex(np.float64(f_quantile(d1, d2, prob)).view(np.uint64)) == bits
 
 
 _log_df = st.floats(min_value=0.0, max_value=math.log(2e6)).map(lambda t: round(math.exp(t)))
