@@ -19,7 +19,7 @@ def main() -> int:
     seed = int(sys.argv[1]) if len(sys.argv) > 1 else DEFAULT_SEED
     cfg = SimConfig(seed=seed)
     print(f"running {cfg.replications} replications on "
-          f"{cfg.r_values} x {tuple(n for n, _ in cfg.size_pairs)} (seed {seed}) ...")
+          f"{cfg.r_values} x {cfg.sample_sizes} (seed {seed}) ...")
     table = run_study(cfg)
     comparison = compare_to_reference(table)
 
@@ -30,11 +30,11 @@ def main() -> int:
     print("-" * len(header))
     for cell in table.cells:
         for coeff in COEFFICIENTS:
-            b, m = (entries[(cell.r, cell.n1, coeff, metric)] for metric in ("bias", "mse"))
+            b, m = (entries[(cell.r, cell.n, coeff, metric)] for metric in ("bias", "mse"))
             flags = [f"{e.metric}:excluded" if e.excluded
                      else f"{e.metric}:off-by-{e.abs_diff:.3f}"
                      for e in (b, m) if e.excluded or not e.passed]
-            print(f"{cell.r:>5.1f} {cell.n1:>4d} {coeff:<10} "
+            print(f"{cell.r:>5.1f} {cell.n:>4d} {coeff:<10} "
                   f"{b.empirical:>8.3f} {b.reference:>8.3f} "
                   f"{m.empirical:>8.3f} {m.reference:>8.3f}  {' '.join(flags)}")
 

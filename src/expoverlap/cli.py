@@ -20,7 +20,8 @@ which names the first bad line.
 Exit codes: 0 ok, 2 unreadable input, a ratio of sample means outside the
 float range, unwritable output or usage error,
 3 insufficient data or bad configuration (a ``simulate`` ratio whose draws
-overflow), 4 reproduction gate failure,
+or sample means leave the float range, overflowing or underflowing to 0),
+4 reproduction gate failure,
 5 self-check failure, 6 numerical method did not converge.
 """
 
@@ -282,13 +283,16 @@ def _parse_list(text: str, kind: type) -> tuple:
 
 
 @main.command()
-@click.option("--r", "r_text", default=None, help="Comma-separated ratio values.")
-@click.option("--n", "n_text", default=None, help="Comma-separated sample sizes.")
-@click.option("--reps", type=int, default=None, help="Replications per cell.")
-@click.option("--seed", type=int, default=None, help=f"RNG seed (default {DEFAULT_SEED}).")
+@click.option("--r", "r_text", default=",".join(map(str, SimConfig.r_values)),
+              show_default=True, help="Comma-separated ratio values.")
+@click.option("--n", "n_text", default=",".join(map(str, SimConfig.sample_sizes)),
+              show_default=True, help="Comma-separated sample sizes.")
+@click.option("--reps", type=int, default=SimConfig.replications, show_default=True,
+              help="Replications per cell.")
+@click.option("--seed", type=int, default=SimConfig.seed, show_default=True,
+              help="RNG seed.")
 @click.pass_obj
-def simulate(out: OutputSpec, r_text: str | None, n_text: str | None,
-             reps: int | None, seed: int | None) -> None:
+def simulate(out: OutputSpec, r_text: str, n_text: str, reps: int, seed: int) -> None:
     """Run the Monte Carlo study; write cell, figure and summary files.
 
     Emits cells.csv, bias_vs_r.csv, std_vs_r.csv, mse_vs_r.csv and
@@ -296,20 +300,12 @@ def simulate(out: OutputSpec, r_text: str | None, n_text: str | None,
     are also graded against the embedded reference values; the command exits
     4 when fewer than 90% of the non-excluded cells agree.
     """
-    kwargs = {}
     try:
-        if r_text is not None:
-            kwargs["r_values"] = _parse_list(r_text, float)
-        if n_text is not None:
-            kwargs["size_pairs"] = tuple((n, n) for n in _parse_list(n_text, int))
+        r_values = _parse_list(r_text, float)
+        sample_sizes = _parse_list(n_text, int)
     except ValueError as exc:
         raise click.BadParameter(str(exc), param_hint="--r/--n")
-    if reps is not None:
-        kwargs["replications"] = reps
-    if seed is not None:
-        kwargs["seed"] = seed
-
-    cfg = SimConfig(**kwargs)
+    cfg = SimConfig(r_values=r_values, sample_sizes=sample_sizes, replications=reps, seed=seed)
 
     out_dir = Path("simulation_output" if out.destination == "-" else out.destination)
     with _writing(out_dir):

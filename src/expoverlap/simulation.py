@@ -1,20 +1,20 @@
 """Seeded Monte Carlo study of the four overlap estimators.
 
 For every grid cell (r, n) the engine draws ``replications`` independent
-pairs of exponential samples with means r and 1 (the coefficients and the
-estimator laws depend on the populations only through r = theta1 / theta2),
-computes the four plug-in estimators, and aggregates empirical bias, MSE,
-bias/sigma and the Monte Carlo standard error of the bias.
+pairs of exponential samples of size n with means r and 1 (the coefficients
+and the estimator laws depend on the populations only through
+r = theta1 / theta2), computes the four plug-in estimators, and aggregates
+empirical bias, MSE, bias/sigma and the Monte Carlo standard error of the
+bias.
 
-Determinism: each (cell, replication, population) triple gets its own
-counter-based substream keyed by the config seed and a 64-bit mix of the
-cell's parameter values, so results are bit-identical across runs, thread
-counts and grid compositions, and ``run_cell`` reproduces exactly the cell
-that ``run_study`` would produce.  A cell's stream ids are one numpy
-expression.  Its samples are drawn in blocks of about _BLOCK_UNIFORMS
-variates: ``SeededStream.block`` keys a block's streams from their uint64
-ids, each stream draws one replication's row with one ``uniforms`` call, and
-rows are reduced row-wise, bitwise as if drawn one replication at a time.
+Determinism: streams are keyed by (seed, r, n, replication, population), so
+results are bit-identical across runs, thread counts and grid compositions,
+and ``run_cell`` reproduces exactly the cell that ``run_study`` would
+produce.  A cell's stream ids are one numpy expression.  Its samples are
+drawn in blocks of about _BLOCK_UNIFORMS variates: ``SeededStream.block``
+keys a block's streams from their uint64 ids, each stream draws one
+replication's row with one ``uniforms`` call, and rows are reduced
+row-wise, bitwise as if drawn one replication at a time.
 
 ``compare_to_reference`` grades a default-grid table against the embedded
 reference dataset at tolerance max(0.01, 3 * mc_se) per cell;
@@ -59,45 +59,40 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Study design: grid, replication count and seed.
-
-    ``size_pairs`` lists the (n1, n2) sample sizes of the grid; the default
-    pairs n1 = n2 = n over the reference sizes.
-    """
+    """Study design: grid of ratios and sample sizes, replication count and seed."""
 
     r_values: tuple[float, ...] = REFERENCE_R_VALUES
-    size_pairs: tuple[tuple[int, int], ...] = tuple((n, n) for n in REFERENCE_SAMPLE_SIZES)
+    sample_sizes: tuple[int, ...] = REFERENCE_SAMPLE_SIZES
     replications: int = 1000
     seed: int = DEFAULT_SEED
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "r_values", tuple(float(r) for r in self.r_values))
-        object.__setattr__(self, "size_pairs",
-                           tuple((int(n1), int(n2)) for n1, n2 in self.size_pairs))
+        object.__setattr__(self, "sample_sizes", tuple(int(n) for n in self.sample_sizes))
         if self.replications < 2:
             raise ConfigError(f"replications must be >= 2, got {self.replications}")
         if not self.r_values or any(not (math.isfinite(r) and r > 0) for r in self.r_values):
             raise ConfigError("r_values must be nonempty and strictly positive")
         if not (isinstance(self.seed, int) and 0 <= self.seed < 2 ** 64):
             raise ConfigError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
-        if not self.size_pairs or any(n1 < 1 or n2 < 3 for n1, n2 in self.size_pairs):
-            raise ConfigError("size_pairs must be nonempty with every n1 >= 1 and n2 >= 3")
+        if not self.sample_sizes or min(self.sample_sizes) < 3:
+            raise ConfigError(f"sample_sizes must be nonempty with every n >= 3, "
+                              f"got {list(self.sample_sizes)}")
 
-    def cells(self) -> list[tuple[float, int, int]]:
-        return [(r, n1, n2) for r in self.r_values for n1, n2 in self.size_pairs]
+    def cells(self) -> list[tuple[float, int]]:
+        return [(r, n) for r in self.r_values for n in self.sample_sizes]
 
     def to_dict(self) -> dict:
-        """Config echo; an all-equal grid is written as its list of sizes."""
-        # theta2 and the KL rule are constants, still echoed so summary.json keeps its bytes
-        equal = all(n1 == n2 for n1, n2 in self.size_pairs)
+        # theta2, the equal sizes and the KL rule are constants, still echoed
+        # so summary.json keeps its bytes
         return {
             "r_values": list(self.r_values),
-            "sample_sizes": [n1 for n1, _ in self.size_pairs] if equal else None,
+            "sample_sizes": list(self.sample_sizes),
             "replications": self.replications,
             "seed": self.seed,
             "theta2": 1.0,
-            "equal_sample_sizes": equal,
-            "unequal_pairs": None if equal else [list(p) for p in self.size_pairs],
+            "equal_sample_sizes": True,
+            "unequal_pairs": None,
             "lambda_uses_corrected_ratio": False,
         }
 
@@ -119,8 +114,7 @@ class CellStats:
 @dataclass(frozen=True)
 class SimCell:
     r: float
-    n1: int
-    n2: int
+    n: int
     stats: dict[str, CellStats]
 
 
@@ -129,23 +123,22 @@ class SimulationTable:
     config: SimConfig
     cells: list[SimCell] = field(repr=False)
 
-    def cell(self, r: float, n1: int, n2: int | None = None) -> SimCell:
-        n2 = n1 if n2 is None else n2
+    def cell(self, r: float, n: int) -> SimCell:
         for cell in self.cells:
-            if math.isclose(cell.r, r, rel_tol=1e-12) and cell.n1 == n1 and cell.n2 == n2:
+            if math.isclose(cell.r, r, rel_tol=1e-12) and cell.n == n:
                 return cell
-        raise KeyError(f"no cell (r={r}, n1={n1}, n2={n2}) in table")
+        raise KeyError(f"no cell (r={r}, n={n}) in table")
 
 
 #: Uniforms per block of replications drawn and reduced at once (512 KiB).
 _BLOCK_UNIFORMS = 65_536
 
 
-def _cell_stream_ids(r: float, n1: int, n2: int, replications: int) -> np.ndarray:
+def _cell_stream_ids(r: float, n: int, replications: int) -> np.ndarray:
     """64-bit substream selectors, shape (replications, 2): splitmix64 folded
-    over the bits of r, then n1, n2, the replication and the population."""
+    over the bits of r, then n twice, the replication and the population."""
     h = np.zeros(1, dtype=np.uint64)
-    for part in (np.float64(r).view(np.uint64), n1, n2,
+    for part in (np.float64(r).view(np.uint64), n, n,
                  np.arange(replications, dtype=np.uint64)[:, None],
                  np.arange(2, dtype=np.uint64)):
         h = (h ^ part) + 0x9E3779B97F4A7C15
@@ -155,40 +148,39 @@ def _cell_stream_ids(r: float, n1: int, n2: int, replications: int) -> np.ndarra
     return h
 
 
-def _draw_means(cfg: SimConfig, r: float, n1: int, n2: int) -> tuple[np.ndarray, np.ndarray]:
+def _draw_means(cfg: SimConfig, r: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Sample means of every replication's two samples, one substream each."""
-    ids = _cell_stream_ids(r, n1, n2, cfg.replications)
+    ids = _cell_stream_ids(r, n, cfg.replications)
+    rows = max(1, _BLOCK_UNIFORMS // n)
     means = np.empty((2, cfg.replications))
-    for pop, (theta, n) in enumerate(((r, n1), (1.0, n2))):
-        rows = max(1, _BLOCK_UNIFORMS // n)
+    for pop, theta in enumerate((r, 1.0)):
         for start in range(0, cfg.replications, rows):
             streams = SeededStream.block(cfg.seed, ids[start:start + rows, pop])
             means[pop, start:start + rows] = sample_exponential(streams, theta, n).mean(axis=1)
     return means[0], means[1]
 
 
-def run_cell(cfg: SimConfig, r: float, n: int, n2: int | None = None) -> SimCell:
-    """Simulate one grid cell.
+def run_cell(cfg: SimConfig, r: float, n: int) -> SimCell:
+    """Simulate one grid cell: two samples of size n per replication.
 
-    Sampling uses substreams keyed only by (seed, r, n1, n2, replication,
+    Sampling uses substreams keyed only by (seed, r, n, replication,
     population), so the same cell simulated standalone or inside run_study
     yields identical results.
     """
-    n1 = int(n)
-    n2 = n1 if n2 is None else int(n2)
-    if n2 <= 2:
-        raise InsufficientSampleSize(f"cells need n2 > 2, got n2={n2}")
-    if not (math.isfinite(r) and r > 0):
-        raise ConfigError(f"r must be strictly positive, got {r!r}")
+    n = int(n)
+    if n <= 2:
+        raise InsufficientSampleSize(f"cells need n > 2, got n={n}")
 
     try:
         with np.errstate(over="raise"):
-            m1, m2 = _draw_means(cfg, r, n1, n2)
+            m1, m2 = _draw_means(cfg, r, n)
             r_hat = m1 / m2
     except FloatingPointError:
         raise ConfigError(f"ratio {r!r} overflows the float range in its draws, "
                           "sample means or r_hat") from None
-    estimates = estimation.ovl_point_estimates(r_hat, estimation.corrected_ratio(r_hat, n2))
+    if not np.all(r_hat > 0):
+        raise ConfigError(f"ratio {r!r} underflows to an r_hat of 0 in its draws or sample means")
+    estimates = estimation.ovl_point_estimates(r_hat, estimation.corrected_ratio(r_hat, n))
     truth = measures.overlap_quartet(r)
 
     stats: dict[str, CellStats] = {}
@@ -210,12 +202,12 @@ def run_cell(cfg: SimConfig, r: float, n: int, n2: int | None = None) -> SimCell
             ratio_bias_sigma=bias / std if std > 0 else math.nan,
             mc_se=std / math.sqrt(cfg.replications),
         )
-    return SimCell(r=r, n1=n1, n2=n2, stats=stats)
+    return SimCell(r=r, n=n, stats=stats)
 
 
 def run_study(cfg: SimConfig) -> SimulationTable:
     """Simulate every cell of the configured grid."""
-    cells = [run_cell(cfg, r, n1, n2) for r, n1, n2 in cfg.cells()]
+    cells = [run_cell(cfg, r, n) for r, n in cfg.cells()]
     return SimulationTable(config=cfg, cells=cells)
 
 
@@ -265,7 +257,7 @@ def _is_reference_grid(cfg: SimConfig) -> bool:
     if any(not math.isclose(a, b, rel_tol=1e-12)
            for a, b in zip(sorted(cfg.r_values), REFERENCE_R_VALUES)):
         return False
-    return sorted(cfg.size_pairs) == [(n, n) for n in REFERENCE_SAMPLE_SIZES]
+    return sorted(cfg.sample_sizes) == list(REFERENCE_SAMPLE_SIZES)
 
 
 def compare_to_reference(table: SimulationTable) -> ComparisonReport | None:
@@ -281,7 +273,7 @@ def compare_to_reference(table: SimulationTable) -> ComparisonReport | None:
     entries: list[ComparisonEntry] = []
     for cell in table.cells:
         ref_key = next(k for k in REFERENCE_CELLS
-                       if math.isclose(k[0], cell.r, rel_tol=1e-12) and k[1] == cell.n1)
+                       if math.isclose(k[0], cell.r, rel_tol=1e-12) and k[1] == cell.n)
         for coeff in COEFFICIENTS:
             stats = cell.stats[coeff]
             tolerance = max(TOLERANCE_FLOOR, 3.0 * stats.mc_se)
@@ -289,7 +281,7 @@ def compare_to_reference(table: SimulationTable) -> ComparisonReport | None:
                     ("bias", "mse"), (stats.bias, stats.mse), REFERENCE_CELLS[ref_key][coeff]):
                 diff = abs(empirical - reference)
                 entries.append(ComparisonEntry(
-                    r=cell.r, n=cell.n1, coefficient=coeff, metric=metric,
+                    r=cell.r, n=cell.n, coefficient=coeff, metric=metric,
                     empirical=empirical, reference=reference, abs_diff=diff,
                     tolerance=tolerance, passed=diff <= tolerance,
                     excluded=(*ref_key, coeff, metric) in EXCLUDED_CELLS))
@@ -327,8 +319,8 @@ def theoretical_vs_empirical(table: SimulationTable) -> TheoryComparisonReport:
     closer_counts: dict[str, dict[str, int]] = {
         key: {"formula": 0, "oracle": 0, "tie": 0} for key in COEFFICIENTS}
     for cell in table.cells:
-        variances, biases = estimation.taylor_moments(cell.r, cell.n1, cell.n2)
-        oracle = estimation.taylor_bias_oracle(cell.r, cell.n1, cell.n2)
+        variances, biases = estimation.taylor_moments(cell.r, cell.n, cell.n)
+        oracle = estimation.taylor_bias_oracle(cell.r, cell.n, cell.n)
         for key in COEFFICIENTS:
             stats = cell.stats[key]
             var_th = variances[key]
@@ -344,7 +336,7 @@ def theoretical_vs_empirical(table: SimulationTable) -> TheoryComparisonReport:
                 closer = "formula" if d_formula < d_oracle else "oracle"
             closer_counts[key][closer] += 1
             entries.append({
-                "r": cell.r, "n1": cell.n1, "n2": cell.n2, "coefficient": key,
+                "r": cell.r, "n1": cell.n, "n2": cell.n, "coefficient": key,
                 "empirical_bias": stats.bias,
                 "empirical_variance": stats.variance,
                 "mc_se": stats.mc_se,
@@ -389,12 +381,12 @@ def write_cells_csv(table: SimulationTable, comparison: ComparisonReport | None,
         for cell in table.cells:
             for coeff in COEFFICIENTS:
                 s = cell.stats[coeff]
-                bias, mse = (entries.get((cell.r, cell.n1, coeff, m)) for m in ("bias", "mse"))
+                bias, mse = (entries.get((cell.r, cell.n, coeff, m)) for m in ("bias", "mse"))
                 grade = ["", "", ""] if bias is None else [
                     _fmt(bias.reference), _fmt(mse.reference),
                     "true" if all(e.passed for e in (bias, mse) if not e.excluded) else "false"]
                 writer.writerow([
-                    _fmt(cell.r), cell.n1, coeff,
+                    _fmt(cell.r), cell.n, coeff,
                     _fmt(s.bias), _fmt(s.mse), _fmt(s.ratio_bias_sigma), _fmt(s.mc_se), *grade,
                 ])
     return path
@@ -413,7 +405,7 @@ def write_figure_csvs(table: SimulationTable, out_dir: str | Path) -> list[Path]
                 for coeff in COEFFICIENTS:
                     s = cell.stats[coeff]
                     value = {"bias": s.bias, "std": s.std, "mse": s.mse}[metric]
-                    writer.writerow([_fmt(cell.r), cell.n1, coeff, _fmt(value)])
+                    writer.writerow([_fmt(cell.r), cell.n, coeff, _fmt(value)])
         paths.append(path)
     return paths
 
@@ -425,7 +417,7 @@ def write_summary_json(table: SimulationTable, comparison: ComparisonReport | No
     payload = {
         "config": table.config.to_dict(),
         "cells": [
-            {"r": cell.r, "n1": cell.n1, "n2": cell.n2,
+            {"r": cell.r, "n1": cell.n, "n2": cell.n,
              "stats": {k: asdict(v) for k, v in cell.stats.items()}}
             for cell in table.cells
         ],

@@ -31,13 +31,13 @@ def bench_oracles():
 
 @pytest.fixture(scope="session")
 def exact_moments(default_table, bench_oracles):
-    """Exact (bias, mse) per (r, n1, coefficient) of the default-grid study.
+    """Exact (bias, mse) per (r, n, coefficient) of the default-grid study.
 
     delta, rho and lambda plug in R* = R_hat (n2-1)/n2 and the KL overlap
     plugs in R_hat, as the default config does.
     """
     cfg = default_table.config
     assert cfg.r_values == bench_oracles.STUDY_R
-    assert cfg.size_pairs == tuple((n, n) for n in bench_oracles.STUDY_N)
+    assert cfg.sample_sizes == bench_oracles.STUDY_N
     moments = bench_oracles.exact_study_moments(cfg.replications)
     return {cell: (m["bias"], m["mse"]) for cell, m in moments.items()}

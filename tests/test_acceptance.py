@@ -168,7 +168,7 @@ def test_criterion_7_reference_table_reproduction(default_table, exact_moments):
     for cell in default_table.cells:
         for key in COEFFICIENTS:
             cell_stats = cell.stats[key]
-            exact_bias, exact_mse = exact_moments[(cell.r, cell.n1, key)]
+            exact_bias, exact_mse = exact_moments[(cell.r, cell.n, key)]
             tolerance = max(0.01, 3.0 * cell_stats.mc_se)
             for empirical, exact in ((cell_stats.bias, exact_bias), (cell_stats.mse, exact_mse)):
                 n_compared += 1

@@ -214,6 +214,14 @@ def test_simulate_overflowing_ratio_is_config_error(runner, tmp_path):
     assert "error: ratio 1e+308 overflows the float range" in res.output
 
 
+def test_simulate_underflowing_ratio_is_config_error(runner, tmp_path):
+    # at a subnormal r some sample mean of theta1 * E rounds to 0, and so does r_hat
+    res = runner.invoke(main, ["--output", str(tmp_path / "sim"), "simulate",
+                               "--r", "5e-324", "--n", "3", "--reps", "50"])
+    assert res.exit_code == 3, res.output
+    assert "error: ratio 5e-324 underflows" in res.output
+
+
 def test_estimate_missing_file(runner, constant_files):
     res = runner.invoke(main, ["estimate", constant_files[0], "/nonexistent/file.txt"])
     assert res.exit_code == 2
@@ -443,12 +451,27 @@ def test_simulate_rejects_bad_config(runner, tmp_path):
     res = runner.invoke(main, ["--output", str(tmp_path / "y"), "simulate",
                                "--n", "2", "--reps", "10"])
     assert res.exit_code == 3
+    for bad in (["--r", "abc"], ["--n", "2.5"]):
+        res = runner.invoke(main, ["--output", str(tmp_path / "z"), "simulate", *bad])
+        assert res.exit_code == 2
+        assert "Invalid value for --r/--n" in res.output
+    res = runner.invoke(main, ["--output", str(tmp_path / "z"), "simulate", "--seed", "-1"])
+    assert res.exit_code == 3
+    assert "error: seed must be an unsigned 64-bit integer, got -1" in res.output
+    assert not (tmp_path / "z").exists()
     for removed in (["--theta2", "2"], ["--lambda-corrected"]):
         out = tmp_path / removed[0].lstrip("-")
         res = runner.invoke(main, ["--output", str(out), "simulate", "--r", "0.5",
                                    "--n", "10", "--reps", "10", *removed])
         assert res.exit_code == 2
         assert not out.exists()
+
+
+def test_simulate_help_shows_config_defaults(runner):
+    res = runner.invoke(main, ["simulate", "--help"])
+    assert res.exit_code == 0
+    for default in ("0.2,0.5,0.8", "20,50,100,200,500", "1000", "123456789"):
+        assert f"[default: {default}]" in res.output
 
 
 def test_simulate_default_grid_verdict_matches_exit(runner, tmp_path):

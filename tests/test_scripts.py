@@ -23,7 +23,7 @@ def test_adjudicate_bias_formulas_run(capsys):
         "adjudicate_bias_formulas", SCRIPTS / "adjudicate_bias_formulas.py")
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
-    cfg = SimConfig(r_values=(0.5, 2.0), size_pairs=((10, 10), (20, 20)),
+    cfg = SimConfig(r_values=(0.5, 2.0), sample_sizes=(10, 20),
                     replications=50, seed=3)
     script.run("small grid", cfg)
     lines = capsys.readouterr().out.splitlines()

@@ -25,7 +25,7 @@ from expoverlap.simulation import (
     _draw_means,
 )
 
-SMALL = SimConfig(r_values=(0.5,), size_pairs=((10, 10), (25, 25)), replications=200, seed=9)
+SMALL = SimConfig(r_values=(0.5,), sample_sizes=(10, 25), replications=200, seed=9)
 
 
 @pytest.fixture(scope="module")
@@ -39,24 +39,17 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         SimConfig(replications=1)
     with pytest.raises(ConfigError):
-        SimConfig(size_pairs=((2, 2),))
+        SimConfig(sample_sizes=(2,))
     with pytest.raises(ConfigError):
         SimConfig(r_values=(0.0,))
     with pytest.raises(ConfigError):
-        SimConfig(size_pairs=())
-
-
-def test_config_unequal_pairs():
-    cfg = SimConfig(r_values=(0.5,), size_pairs=((10, 15),), replications=50)
-    assert cfg.cells() == [(0.5, 10, 15)]
-    cell = run_cell(cfg, 0.5, 10, 15)
-    assert (cell.n1, cell.n2) == (10, 15)
+        SimConfig(sample_sizes=())
 
 
 def test_default_grid():
     cfg = SimConfig()
     assert len(cfg.cells()) == 15
-    assert cfg.cells()[0] == (0.2, 20, 20)
+    assert cfg.cells()[0] == (0.2, 20)
 
 
 # --- engine determinism -----------------------------------------------------------
@@ -67,7 +60,7 @@ def test_study_is_deterministic(small_table):
 
 
 def test_seed_changes_results(small_table):
-    other = run_study(SimConfig(r_values=(0.5,), size_pairs=((10, 10), (25, 25)),
+    other = run_study(SimConfig(r_values=(0.5,), sample_sizes=(10, 25),
                                 replications=200, seed=10))
     assert other != small_table
 
@@ -78,9 +71,9 @@ def test_run_cell_matches_study_cell(small_table):
 
 
 def test_stream_ids_distinct():
-    ids = set(_cell_stream_ids(0.5, 20, 20, 50).ravel().tolist())
+    ids = set(_cell_stream_ids(0.5, 20, 50).ravel().tolist())
     assert len(ids) == 100
-    assert _cell_stream_ids(0.5, 20, 20, 1)[0, 0] != _cell_stream_ids(0.2, 20, 20, 1)[0, 0]
+    assert _cell_stream_ids(0.5, 20, 1)[0, 0] != _cell_stream_ids(0.2, 20, 1)[0, 0]
 
 
 def _splitmix64(z):
@@ -91,37 +84,38 @@ def _splitmix64(z):
     return z ^ (z >> 31)
 
 
-@pytest.mark.parametrize("r, n1, n2",
-                         [(0.2, 20, 20), (0.5, 10, 15), (1e-300, 1, 3), (7.5, 500, 500)])
-def test_stream_ids_match_scalar_splitmix(r, n1, n2):
-    ids = _cell_stream_ids(r, n1, n2, 300)
+# the test ids show n twice, as the stream key folds it
+@pytest.mark.parametrize("r, n", [(0.2, 20), (0.5, 10), (1e-300, 3), (7.5, 500)],
+                         ids=lambda v: f"{v}-{v}" if isinstance(v, int) else None)
+def test_stream_ids_match_scalar_splitmix(r, n):
+    ids = _cell_stream_ids(r, n, 300)
     assert ids.shape == (300, 2) and ids.dtype == np.uint64
     r_bits = struct.unpack("<Q", struct.pack("<d", r))[0]
     for rep in range(300):
         for pop in (0, 1):
             h = 0
-            for part in (r_bits, n1, n2, rep, pop):
+            for part in (r_bits, n, n, rep, pop):
                 h = _splitmix64(h ^ part)
             assert int(ids[rep, pop]) == h
 
 
-@pytest.mark.parametrize("n1, n2, reps",
-                         [(7, 13, 40), (1, 3, 25), (500, 500, 300), (20, 20, 3300)])
-def test_block_means_match_per_replication_draws(n1, n2, reps):
+@pytest.mark.parametrize("n, reps", [(7, 40), (3, 25), (500, 300), (20, 3300)],
+                         ids=["7-7-40", "3-3-25", "500-500-300", "20-20-3300"])
+def test_block_means_match_per_replication_draws(n, reps):
     # 65,536 // 500 = 131 and 65,536 // 20 = 3,276 rows per block: neither
     # 300 nor 3,300 replications fill a whole number of blocks
-    cfg = SimConfig(r_values=(0.5,), size_pairs=((n1, n2),), replications=reps, seed=29)
-    m1, m2 = _draw_means(cfg, 0.5, n1, n2)
-    ids = _cell_stream_ids(0.5, n1, n2, reps)
+    cfg = SimConfig(r_values=(0.5,), sample_sizes=(n,), replications=reps, seed=29)
+    m1, m2 = _draw_means(cfg, 0.5, n)
+    ids = _cell_stream_ids(0.5, n, reps)
     for rep in range(reps):
-        a = sample_exponential(SeededStream(29, int(ids[rep, 0])), 0.5, n1).mean()
-        b = sample_exponential(SeededStream(29, int(ids[rep, 1])), 1.0, n2).mean()
+        a = sample_exponential(SeededStream(29, int(ids[rep, 0])), 0.5, n).mean()
+        b = sample_exponential(SeededStream(29, int(ids[rep, 1])), 1.0, n).mean()
         assert m1[rep] == a and m2[rep] == b
 
 
 def test_run_cell_requires_n2_above_two():
     with pytest.raises(InsufficientSampleSize):
-        run_cell(SMALL, 0.5, 20, 2)
+        run_cell(SMALL, 0.5, 2)
 
 
 # --- cell statistics ----------------------------------------------------------------
@@ -183,7 +177,7 @@ def test_study_reciprocity():
 
 def test_compare_requires_reference_grid(small_table):
     assert compare_to_reference(small_table) is None
-    assert compare_to_reference(run_study(SimConfig(r_values=(0.3,), size_pairs=((20, 20),),
+    assert compare_to_reference(run_study(SimConfig(r_values=(0.3,), sample_sizes=(20,),
                                                     replications=10))) is None
 
 
