@@ -176,9 +176,9 @@ def _load_two_samples(file1: str, file2: str) -> TwoSample:
 
 def _render_estimate_table(report: estimation.EstimateReport) -> str:
     lines = [
-        f"n1 = {report.ratio.n1}, n2 = {report.ratio.n2}",
-        f"theta1_hat = {report.ratio.theta1_hat:.6g}   theta2_hat = {report.ratio.theta2_hat:.6g}",
-        f"r_hat = {report.ratio.r_hat:.6g}   r_hat_star = {report.ratio.r_hat_star:.6g}"
+        f"n1 = {report.n1}, n2 = {report.n2}",
+        f"theta1_hat = {report.theta1_hat:.6g}   theta2_hat = {report.theta2_hat:.6g}",
+        f"r_hat = {report.r_hat:.6g}   r_hat_star = {report.r_hat_star:.6g}"
         f"   var(r_hat_star) = {report.var_r_hat_star:.6g}",
         "",
         f"{'coefficient':<20}{'estimate':>10}{'approx var':>14}{'approx bias':>14}",
@@ -197,10 +197,10 @@ def estimate(out: OutputSpec, file1: str, file2: str) -> None:
     """Estimate the ratio and the four overlap coefficients from data files."""
     report = estimation.estimate_report(_load_two_samples(file1, file2))
     if out.format == "json":
-        out.write(json.dumps(report.to_dict(), indent=2))
+        out.write(json.dumps(vars(report), indent=2))
     elif out.format == "csv":
         quantities = [(k, v if isinstance(v, int) else _fmt(v))
-                      for k, v in report.to_dict().items() if not isinstance(v, dict)]
+                      for k, v in vars(report).items() if not isinstance(v, dict)]
         rows = [(key, _fmt(report.points[key]), _fmt(report.variances[key]),
                  _fmt(report.biases[key])) for key in COEFFICIENTS]
         out.write(_csv_text(("quantity", "value"), quantities) + _csv_text(
@@ -225,9 +225,8 @@ def ci(out: OutputSpec, file1: str, file2: str, level: float) -> None:
     ovl_ints = confidence.all_ovl_cis(r_int)
 
     if out.format == "json":
-        payload = {"level": level, "r_hat": estimates.r_hat,
-                   "ratio": r_int.to_dict(),
-                   "coefficients": {k: v.to_dict() for k, v in ovl_ints.items()}}
+        payload = {"level": level, "r_hat": estimates.r_hat, "ratio": vars(r_int),
+                   "coefficients": {k: vars(v) for k, v in ovl_ints.items()}}
         out.write(json.dumps(payload, indent=2))
     elif out.format == "csv":
         rows = [(v.target, _fmt(v.lower), _fmt(v.upper), str(v.contains_one).lower())

@@ -41,10 +41,10 @@ class InvalidInterval(ValueError):
 
 @dataclass(frozen=True)
 class ConfidenceInterval:
+    target: str
+    level: float
     lower: float
     upper: float
-    level: float
-    target: str
     contains_one: bool = False
 
     def __post_init__(self) -> None:
@@ -52,15 +52,6 @@ class ConfidenceInterval:
             raise ValueError(f"level must lie in (0, 1), got {self.level!r}")
         if self.lower > self.upper:
             raise ValueError(f"lower {self.lower} exceeds upper {self.upper}")
-
-    def to_dict(self) -> dict:
-        return {
-            "target": self.target,
-            "level": self.level,
-            "lower": self.lower,
-            "upper": self.upper,
-            "contains_one": self.contains_one,
-        }
 
 
 def ratio_ci(estimates: RatioEstimates, level: float = 0.95) -> ConfidenceInterval:

@@ -16,8 +16,8 @@ variance is c * g_u^2 and every bias c * (g_uu - g_u), negated for the KL
 overlap.  Both come from one kernel per coefficient at the folded ratio
 s = min(R, 1/R) <= 1 of ``measures``, where no term overflows.  Each
 published bias is exactly 2x the textbook term 0.5 * g''(R) * Var(R*) (-2x
-for the KL overlap), which ``taylor_bias_oracle`` computes from that
-identity; the Monte Carlo module reports which version tracks simulation.
+for the KL overlap); the Monte Carlo module reports which version tracks
+simulation.
 """
 
 from __future__ import annotations
@@ -76,12 +76,12 @@ class TwoSample:
 
 @dataclass(frozen=True)
 class RatioEstimates:
-    """Sample means, sizes and the two ratio estimates."""
+    """Sample sizes, means and the two ratio estimates."""
 
-    theta1_hat: float
-    theta2_hat: float
     n1: int
     n2: int
+    theta1_hat: float
+    theta2_hat: float
     r_hat: float
     r_hat_star: float
 
@@ -124,7 +124,7 @@ def ratio_estimates(sample: TwoSample) -> RatioEstimates:
     if not 0.0 < r_hat < math.inf:
         raise RatioOutOfRange(
             f"the ratio of the sample means {th1:.6g} / {th2:.6g} is outside the float range")
-    return RatioEstimates(theta1_hat=th1, theta2_hat=th2, n1=sample.n1, n2=sample.n2,
+    return RatioEstimates(n1=sample.n1, n2=sample.n2, theta1_hat=th1, theta2_hat=th2,
                           r_hat=r_hat, r_hat_star=corrected_ratio(r_hat, sample.n2))
 
 
@@ -191,18 +191,8 @@ def taylor_moments(r: float, n1: int, n2: int) -> tuple[dict, dict]:
     return variances, biases
 
 
-def taylor_bias_oracle(r: float, n1: int, n2: int) -> dict[str, float]:
-    """Second-order Taylor bias 0.5 * g''(R) * Var(R*) for each closed form g.
-
-    Each published bias is exactly twice this term (minus twice for the KL
-    overlap), so it is read off ``taylor_moments``; delta's is NaN at R = 1.
-    """
-    return {key: (-0.5 if key == "kl_lambda" else 0.5) * bias
-            for key, bias in taylor_moments(r, n1, n2)[1].items()}
-
-
 @dataclass(frozen=True)
-class EstimateReport:
+class EstimateReport(RatioEstimates):
     """Everything estimated from one pair of samples.
 
     Variances and biases are plug-in values: the expansion formulas evaluated
@@ -211,25 +201,10 @@ class EstimateReport:
     var_r_hat_star is the exact variance formula of R* evaluated there.
     """
 
-    ratio: RatioEstimates
     var_r_hat_star: float
     points: dict[str, float]
     variances: dict[str, float] = field(repr=False)
     biases: dict[str, float] = field(repr=False)
-
-    def to_dict(self) -> dict:
-        return {
-            "n1": self.ratio.n1,
-            "n2": self.ratio.n2,
-            "theta1_hat": self.ratio.theta1_hat,
-            "theta2_hat": self.ratio.theta2_hat,
-            "r_hat": self.ratio.r_hat,
-            "r_hat_star": self.ratio.r_hat_star,
-            "var_r_hat_star": self.var_r_hat_star,
-            "points": dict(self.points),
-            "variances": dict(self.variances),
-            "biases": dict(self.biases),
-        }
 
 
 def estimate_report(sample: TwoSample) -> EstimateReport:
@@ -241,6 +216,8 @@ def estimate_report(sample: TwoSample) -> EstimateReport:
     """
     est = ratio_estimates(sample)
     r_star = est.r_hat_star
-    return EstimateReport(est, r_star * r_star * variance_factor(sample.n1, sample.n2),
-                          ovl_point_estimates(est.r_hat, r_star),
-                          *taylor_moments(r_star, sample.n1, sample.n2))
+    var_r_star = r_star * r_star * variance_factor(est.n1, est.n2)
+    points = ovl_point_estimates(est.r_hat, r_star)
+    variances, biases = taylor_moments(r_star, est.n1, est.n2)
+    return EstimateReport(**vars(est), var_r_hat_star=var_r_star, points=points,
+                          variances=variances, biases=biases)

@@ -28,6 +28,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -57,6 +58,13 @@ class ConfigError(ValueError):
     """Invalid simulation configuration."""
 
 
+def _integer(name: str, value) -> int:
+    """``value`` as an int; a bool or a non-integral value is a ConfigError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Study design: grid of ratios and sample sizes, replication count and seed."""
@@ -68,12 +76,15 @@ class SimConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "r_values", tuple(float(r) for r in self.r_values))
-        object.__setattr__(self, "sample_sizes", tuple(int(n) for n in self.sample_sizes))
+        object.__setattr__(self, "sample_sizes",
+                           tuple(_integer("each sample size", n) for n in self.sample_sizes))
+        object.__setattr__(self, "replications", _integer("replications", self.replications))
+        object.__setattr__(self, "seed", _integer("seed", self.seed))
         if self.replications < 2:
             raise ConfigError(f"replications must be >= 2, got {self.replications}")
         if not self.r_values or any(not (math.isfinite(r) and r > 0) for r in self.r_values):
             raise ConfigError("r_values must be nonempty and strictly positive")
-        if not (isinstance(self.seed, int) and 0 <= self.seed < 2 ** 64):
+        if not 0 <= self.seed < 2 ** 64:
             raise ConfigError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
         if not self.sample_sizes or min(self.sample_sizes) < 3:
             raise ConfigError(f"sample_sizes must be nonempty with every n >= 3, "
@@ -85,16 +96,8 @@ class SimConfig:
     def to_dict(self) -> dict:
         # theta2, the equal sizes and the KL rule are constants, still echoed
         # so summary.json keeps its bytes
-        return {
-            "r_values": list(self.r_values),
-            "sample_sizes": list(self.sample_sizes),
-            "replications": self.replications,
-            "seed": self.seed,
-            "theta2": 1.0,
-            "equal_sample_sizes": True,
-            "unequal_pairs": None,
-            "lambda_uses_corrected_ratio": False,
-        }
+        return {**asdict(self), "theta2": 1.0, "equal_sample_sizes": True,
+                "unequal_pairs": None, "lambda_uses_corrected_ratio": False}
 
 
 @dataclass(frozen=True)
@@ -232,23 +235,13 @@ class ComparisonEntry:
 
 @dataclass(frozen=True)
 class ComparisonReport:
-    entries: list[ComparisonEntry] = field(repr=False)
     n_compared: int
     n_passed: int
     n_excluded: int
     pass_fraction: float
     overall_pass: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "n_compared": self.n_compared,
-            "n_passed": self.n_passed,
-            "n_excluded": self.n_excluded,
-            "pass_fraction": self.pass_fraction,
-            "overall_pass": self.overall_pass,
-            "required_fraction": PASS_FRACTION_REQUIRED,
-            "entries": [asdict(e) for e in self.entries],
-        }
+    required_fraction: float = field(default=PASS_FRACTION_REQUIRED, init=False)
+    entries: list[ComparisonEntry] = field(repr=False)
 
 
 def _is_reference_grid(cfg: SimConfig) -> bool:
@@ -320,14 +313,14 @@ def theoretical_vs_empirical(table: SimulationTable) -> TheoryComparisonReport:
         key: {"formula": 0, "oracle": 0, "tie": 0} for key in COEFFICIENTS}
     for cell in table.cells:
         variances, biases = estimation.taylor_moments(cell.r, cell.n, cell.n)
-        oracle = estimation.taylor_bias_oracle(cell.r, cell.n, cell.n)
         for key in COEFFICIENTS:
             stats = cell.stats[key]
             var_th = variances[key]
+            oracle = (-0.5 if key == "kl_lambda" else 0.5) * biases[key]
             var_rel_err = (abs(var_th - stats.variance) / stats.variance
                            if stats.variance > 0 else math.nan)
             d_formula = abs(biases[key] - stats.bias)
-            d_oracle = abs(oracle[key] - stats.bias)
+            d_oracle = abs(oracle - stats.bias)
             if math.isnan(d_formula) or math.isnan(d_oracle):
                 closer = "tie"
             elif math.isclose(d_formula, d_oracle, rel_tol=1e-9, abs_tol=1e-15):
@@ -343,7 +336,7 @@ def theoretical_vs_empirical(table: SimulationTable) -> TheoryComparisonReport:
                 "variance_formula": var_th,
                 "variance_rel_err": var_rel_err,
                 "bias_formula": biases[key],
-                "bias_oracle": oracle[key],
+                "bias_oracle": oracle,
                 "closer": closer,
             })
     return TheoryComparisonReport(entries=entries, closer_counts=closer_counts)
@@ -421,7 +414,7 @@ def write_summary_json(table: SimulationTable, comparison: ComparisonReport | No
              "stats": {k: asdict(v) for k, v in cell.stats.items()}}
             for cell in table.cells
         ],
-        "reference_comparison": comparison.to_dict() if comparison else None,
+        "reference_comparison": asdict(comparison) if comparison else None,
         "theory_comparison": asdict(theory) if theory else None,
     }
     path.write_text(json.dumps(payload, indent=2) + "\n")

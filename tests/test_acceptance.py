@@ -245,7 +245,7 @@ def test_vectorized_coverage_logic_matches_ovl_ci():
     # the array logic used in criterion 8 must agree with the scalar transform
     from expoverlap.confidence import ConfidenceInterval, ovl_ci
     for lo, hi in ((0.3, 0.8), (1.2, 3.0), (0.6, 1.7)):
-        interval = ConfidenceInterval(lo, hi, 0.95, "ratio", lo < 1 < hi)
+        interval = ConfidenceInterval("ratio", 0.95, lo, hi, lo < 1 < hi)
         for key in COEFFICIENTS:
             fn = MEASURES[key]
             lower = fn(lo) if hi <= 1 else (fn(hi) if lo >= 1 else min(fn(lo), fn(hi)))

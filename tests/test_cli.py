@@ -3,6 +3,7 @@ import json
 import math
 import sys
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -12,10 +13,11 @@ from hypothesis import strategies as st
 
 from expoverlap import checks, confidence, distributions, measures
 from expoverlap.cli import SampleFileError, main, read_sample_file
+from expoverlap.confidence import ConfidenceInterval
 from expoverlap.distributions import NonConvergence, SeededStream, sample_exponential
-from expoverlap.estimation import TwoSample, estimate_report
+from expoverlap.estimation import EstimateReport, TwoSample, estimate_report, ratio_estimates
 from expoverlap.measures import COEFFICIENTS
-from expoverlap.simulation import DEFAULT_SEED
+from expoverlap.simulation import DEFAULT_SEED, ComparisonReport
 
 
 @pytest.fixture()
@@ -54,7 +56,7 @@ def test_estimate_matches_library(runner, tmp_path):
     res = runner.invoke(main, ["--format", "json", "estimate", f1, f2])
     assert res.exit_code == 0
     payload = json.loads(res.output)
-    expected = estimate_report(TwoSample(x1, x2)).to_dict()
+    expected = vars(estimate_report(TwoSample(x1, x2)))
     assert list(payload["points"]) == list(COEFFICIENTS)
     assert payload["points"] == expected["points"]
     assert payload["variances"] == expected["variances"]
@@ -583,3 +585,29 @@ def test_check_catches_injected_perturbation(runner, monkeypatch):
     verdicts = {s["name"]: s["passed"] for s in payload["suites"]}
     assert verdicts["oracle_equivalence"] is False
     assert verdicts["closed_form_anchors"] is True
+
+
+# --- JSON schemas ---------------------------------------------------------------------
+
+def _field_names(record):
+    return [f.name for f in fields(record)]
+
+
+def test_json_objects_list_their_record_fields(runner, tmp_path, constant_files):
+    # each JSON object carries its record's fields in declaration order
+    res = runner.invoke(main, ["--format", "json", "estimate", *constant_files])
+    assert list(json.loads(res.output)) == _field_names(EstimateReport)
+    res = runner.invoke(main, ["--format", "json", "ci", *constant_files])
+    payload = json.loads(res.output)
+    for interval in (payload["ratio"], *payload["coefficients"].values()):
+        assert list(interval) == _field_names(ConfidenceInterval)
+    res = runner.invoke(main, ["--output", str(tmp_path), "simulate", "--reps", "2"])
+    assert res.exit_code in (0, 4), res.output
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert list(summary["reference_comparison"]) == _field_names(ComparisonReport)
+
+
+def test_ratio_ci_takes_an_estimate_report():
+    sample = TwoSample([0.4, 1.7, 0.9, 2.2, 0.3], [1.1, 0.6, 2.8, 1.9])
+    report = estimate_report(sample)
+    assert confidence.ratio_ci(report) == confidence.ratio_ci(ratio_estimates(sample))

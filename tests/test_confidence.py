@@ -116,9 +116,9 @@ def test_ovl_ci_validation():
     with pytest.raises(InvalidInterval):
         ovl_ci(good, "jaccard")
     with pytest.raises(InvalidInterval):
-        ovl_ci(ConfidenceInterval(0.2, 0.4, 0.95, target="rho"), "rho")
+        ovl_ci(ConfidenceInterval("rho", 0.95, 0.2, 0.4), "rho")
     with pytest.raises(InvalidInterval):
-        ovl_ci(ConfidenceInterval(0.0, 0.4, 0.95, target="ratio"), "rho")
+        ovl_ci(ConfidenceInterval("ratio", 0.95, 0.0, 0.4), "rho")
 
 
 @given(lo=st.floats(min_value=1e-3, max_value=50.0),

@@ -21,7 +21,7 @@ def _library_example() -> str:
 def test_readme_library_example_runs():
     namespace = {"x1": [0.4, 1.7, 0.9, 2.2, 0.3], "x2": [1.1, 0.6, 2.8, 1.9]}
     exec(_library_example(), namespace)
-    assert namespace["report"].ratio.n2 == 4
+    assert namespace["report"].n2 == 4
     assert set(namespace["table"].config.r_values) == {0.2, 0.5, 0.8}
 
 

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import re
 import struct
 from dataclasses import asdict
 
@@ -44,6 +45,24 @@ def test_config_validation():
         SimConfig(r_values=(0.0,))
     with pytest.raises(ConfigError):
         SimConfig(sample_sizes=())
+
+
+@pytest.mark.parametrize("kwargs, bad", [
+    ({"sample_sizes": (20, 3.9)}, 3.9), ({"sample_sizes": (True, 20)}, True),
+    ({"replications": 10.5}, 10.5), ({"replications": np.float64(100.0)}, np.float64(100.0)),
+    ({"seed": True}, True), ({"seed": 7.0}, 7.0)])
+def test_config_rejects_non_integer_counts(kwargs, bad):
+    # a float size was truncated, a float replication count failed in the
+    # draws, and a bool seed was echoed as true
+    with pytest.raises(ConfigError, match=re.escape(f"integer, got {bad!r}")):
+        SimConfig(**kwargs)
+
+
+def test_config_accepts_numpy_integers_as_ints():
+    cfg = SimConfig(sample_sizes=(np.int64(20),), replications=np.uint32(50),
+                    seed=np.uint64(2 ** 64 - 1))
+    assert json.loads(json.dumps(cfg.to_dict()))["seed"] == 2 ** 64 - 1
+    assert all(type(v) is int for v in (*cfg.sample_sizes, cfg.replications, cfg.seed))
 
 
 def test_default_grid():
@@ -243,6 +262,9 @@ def test_theory_report_schema(default_table):
     for entry in report.entries:
         assert required <= set(entry)
         assert entry["closer"] in ("formula", "oracle", "tie")
+        # the Taylor term is exactly half the published bias, minus half for KL
+        sign = -1.0 if entry["coefficient"] == "kl_lambda" else 1.0
+        assert 2.0 * entry["bias_oracle"] == sign * entry["bias_formula"]
     for key in COEFFICIENTS:
         assert sum(report.closer_counts[key].values()) == 15
     # the report is JSON-serializable as emitted
