@@ -1,0 +1,35 @@
+"""The input rules of the library, each written once.  A bool is never a number,
+a numpy scalar counts as its kind, and each validator raises the ValueError
+subclass its caller names, so an error keeps its type and exit code."""
+
+import math
+from numbers import Integral, Real
+
+import numpy as np
+
+
+def _real(name, value, error=ValueError, high=math.inf, low=0.0):
+    """``value`` as a float, if a real number in (low, high); ``float`` skips the ABC check."""
+    if type(value) is bool or not isinstance(value, (float, Real)) or not low < value < high:
+        raise error(f"{name} must be a real number in ({low:g}, {high:g}), got {value!r}")
+    return float(value)
+
+
+def _integer(name, value, low=-math.inf, error=ValueError, high=math.inf, rule=None):
+    """``value`` as an int, if it is an integer in [low, high); the error says that
+    ``name`` must ``rule``, by default "be an integer" or "be >= low"."""
+    is_int = type(value) is int or type(value) is not bool and isinstance(value, Integral)
+    if not (is_int and low <= value < high):
+        rule = rule or (f"be >= {low}" if is_int else "be an integer")
+        raise error(f"{name} must {rule}, got {value!r}")
+    return int(value)
+
+
+def _positive(name, values, error=ValueError, ndim=None):
+    """``values`` as a float array, if of a numeric dtype, nonempty, of ``ndim``
+    dimensions when given, and every value positive and finite."""
+    arr = np.asarray(values)
+    if (arr.dtype.kind not in "fiu" or arr.size == 0 or ndim not in (None, arr.ndim)
+            or not 0 < arr.min() <= arr.max() < math.inf):
+        raise error(f"{name} must be nonempty and strictly positive")
+    return np.asarray(arr, dtype=float)

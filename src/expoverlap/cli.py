@@ -20,7 +20,8 @@ which names the first bad line.
 Exit codes: 0 ok, 2 unreadable input, a ratio of sample means outside the
 float range, unwritable output or usage error,
 3 insufficient data or bad configuration (a ``simulate`` ratio whose draws
-or sample means leave the float range, overflowing or underflowing to 0),
+or sample means leave the float range, overflowing or underflowing to 0, or
+a request too large for memory),
 4 reproduction gate failure,
 5 self-check failure, 6 numerical method did not converge.
 """
@@ -68,6 +69,7 @@ EXIT_CODES = {
     RatioOutOfRange: EXIT_INPUT,
     InsufficientSampleSize: EXIT_INSUFFICIENT,
     ConfigError: EXIT_INSUFFICIENT,
+    MemoryError: EXIT_INSUFFICIENT,
     NonConvergence: EXIT_NONCONVERGENCE,
 }
 

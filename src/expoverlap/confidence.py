@@ -24,6 +24,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 
+from ._inputs import _real
 from .distributions import f_quantile
 from .estimation import RatioEstimates
 from .measures import COEFFICIENTS, MEASURES
@@ -48,8 +49,7 @@ class ConfidenceInterval:
     contains_one: bool = False
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.level < 1.0):
-            raise ValueError(f"level must lie in (0, 1), got {self.level!r}")
+        _real("level", self.level, high=1.0)
         if self.lower > self.upper:
             raise ValueError(f"lower {self.lower} exceeds upper {self.upper}")
 
@@ -60,9 +60,7 @@ def ratio_ci(estimates: RatioEstimates, level: float = 0.95) -> ConfidenceInterv
     Uses the uncorrected r_hat: the pivot r_hat / R ~ F(2 n1, 2 n2) is exact
     as stated, so coverage is exactly the nominal level.
     """
-    if not (0.0 < level < 1.0):
-        raise ValueError(f"level must lie in (0, 1), got {level!r}")
-    alpha = 1.0 - level
+    alpha = 1.0 - _real("level", level, high=1.0)
     d1, d2 = 2 * estimates.n1, 2 * estimates.n2
     lower = estimates.r_hat * f_quantile(d2, d1, alpha / 2.0)
     upper = estimates.r_hat / f_quantile(d1, d2, alpha / 2.0)

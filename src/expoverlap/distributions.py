@@ -26,6 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._inputs import _integer, _real
+
 
 class NonConvergence(RuntimeError):
     """An iterative evaluation exhausted its budget before converging."""
@@ -58,15 +60,14 @@ class SeededStream:
 
     def __post_init__(self) -> None:
         for name in ("seed", "stream_id"):
-            v = getattr(self, name)
-            if not isinstance(v, (int, np.integer)) or not (0 <= int(v) < 2 ** 64):
-                raise ValueError(f"{name} must be an unsigned 64-bit integer, got {v!r}")
+            object.__setattr__(self, name, _integer(name, getattr(self, name), 0, high=2 ** 64,
+                                                    rule="be an unsigned 64-bit integer"))
 
     @classmethod
     def block(cls, seed: int, stream_ids) -> list[SeededStream]:
         """[SeededStream(seed, i) for i in stream_ids], checking the seed once and the
         ids only when they are not a 1-d uint64 array, whose dtype keeps them in range."""
-        cls(seed)
+        seed = cls(seed).seed
         if getattr(stream_ids, "dtype", None) != np.uint64 or np.ndim(stream_ids) != 1:
             return [cls(seed, i) for i in stream_ids]
         new, streams = object.__new__, []
@@ -78,8 +79,7 @@ class SeededStream:
     def uniforms(self, n: int) -> np.ndarray:
         """n uniform variates on (0, 1]: ((raw >> 11) + 0.5) * 2^-53 of the raw
         64-bit Philox words, never 0.0 but 1.0 with probability 2^-53 per draw."""
-        if n < 1:
-            raise ValueError("n must be >= 1")
+        n = n if type(n) is int and n >= 1 else _integer("n", n, 1)  # hot path: once per stream
         keyed = getattr(_PER_THREAD, "keyed", None)
         if keyed is None:  # counter 0, empty buffer: a fresh Philox(key=(stream_id << 64) | seed)
             philox = np.random.Philox(key=0)
@@ -89,7 +89,7 @@ class SeededStream:
         philox, generator, state = keyed
         state["state"]["key"] = [self.seed, self.stream_id]
         philox.state = state
-        return _uniforms(generator, int(n))
+        return _uniforms(generator, n)
 
 
 def sample_exponential(stream: SeededStream | list[SeededStream], mean_theta: float,
@@ -102,8 +102,7 @@ def sample_exponential(stream: SeededStream | list[SeededStream], mean_theta: fl
     the theta=1 sample.  Given a list of streams, the result has one row of
     n draws per stream, each bitwise the sample that stream gives alone.
     """
-    if not (math.isfinite(mean_theta) and mean_theta > 0):
-        raise ValueError(f"mean_theta must be strictly positive, got {mean_theta!r}")
+    mean_theta = _real("mean_theta", mean_theta)
     x = (stream.uniforms(n) if isinstance(stream, SeededStream)
          else np.concatenate([s.uniforms(n) for s in stream]).reshape(len(stream), n))
     np.log(x, out=x)
@@ -194,8 +193,7 @@ def regularized_incomplete_beta(a: float, b: float, x):
     a/(a+b).  Vectorized over x; a, b are scalars.  A scalar x runs the same
     continued fraction on Python floats, with the bits of a one-element array.
     """
-    if not (a > 0 and b > 0):
-        raise ValueError(f"a and b must be positive, got a={a}, b={b}")
+    a, b = _real("a", a), _real("b", b)
     arr = np.asarray(x, dtype=float)
     if not np.all((arr >= 0) & (arr <= 1)):
         raise ValueError("x must lie in [0, 1]")
@@ -220,17 +218,10 @@ def regularized_incomplete_beta(a: float, b: float, x):
     return np.clip(out, 0.0, 1.0)
 
 
-def _check_df(d1: int, d2: int) -> None:
-    if not (isinstance(d1, (int, np.integer)) and isinstance(d2, (int, np.integer))):
-        raise ValueError("degrees of freedom must be integers")
-    if d1 < 1 or d2 < 1:
-        raise ValueError(f"degrees of freedom must be >= 1, got ({d1}, {d2})")
-
-
 def f_cdf(d1: int, d2: int, x):
     """CDF of the F(d1, d2) distribution: I_y(d1/2, d2/2), y = d1 x/(d1 x + d2),
     and y = 1 at x = inf."""
-    _check_df(d1, d2)
+    d1, d2 = _integer("d1", d1, 1), _integer("d2", d2, 1)
     arr = np.asarray(x, dtype=float)
     if not np.all(arr >= 0):
         raise ValueError("x must be nonnegative")
@@ -264,9 +255,7 @@ def f_quantile(d1: int, d2: int, prob: float) -> float:
     steps out of a closed bracket become bisection.  A step below 1e-12 in u
     also ends it, for where f_cdf's rounding exceeds the target (d1 >> d2).
     """
-    _check_df(d1, d2)
-    if not (0.0 < prob < 1.0):
-        raise ValueError(f"prob must lie strictly between 0 and 1, got {prob!r}")
+    d1, d2, prob = _integer("d1", d1, 1), _integer("d2", d2, 1), _real("prob", prob, high=1.0)
     swap = prob > 0.5
     if swap:
         d1, d2, prob = d2, d1, 1.0 - prob
@@ -317,16 +306,13 @@ def erlang_cdf(shape: int, scale: float, x):
     log t_j = log t_{j-1} + log y - log j, so exp(-y) never underflows.
     Vectorized over x; a 0-d x gives a np.float64 with the bits of an array element.
     """
-    if not isinstance(shape, (int, np.integer)) or shape < 1:
-        raise ValueError(f"shape must be a positive integer, got {shape!r}")
-    if not (math.isfinite(scale) and scale > 0):
-        raise ValueError(f"scale must be strictly positive, got {scale!r}")
+    shape, scale = _integer("shape", shape, 1), _real("scale", scale)
     y = np.maximum(np.asarray(x, dtype=float) / scale, 0.0)
     with np.errstate(divide="ignore"):
         log_y = np.log(y)
     log_term = -y
     total = np.exp(log_term)
-    for j in range(1, int(shape)):
+    for j in range(1, shape):
         log_term += log_y - math.log(j)
         total += np.exp(log_term)
     return np.clip(1.0 - total, 0.0, 1.0)
@@ -345,6 +331,5 @@ def ks_statistic(sample: np.ndarray, cdf) -> float:
 
 def ks_critical_value(m: int, alpha: float) -> float:
     """Asymptotic two-sided KS critical value sqrt(log(2/alpha) / (2m))."""
-    if m < 1 or not (0.0 < alpha < 1.0):
-        raise ValueError("need m >= 1 and 0 < alpha < 1")
+    m, alpha = _integer("m", m, 1), _real("alpha", alpha, high=1.0)
     return math.sqrt(math.log(2.0 / alpha) / (2.0 * m))

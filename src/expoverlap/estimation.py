@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._inputs import _integer, _positive, _real
 from .measures import COEFFICIENTS, MEASURES, _fold, _log_over_gap
 
 
@@ -55,15 +56,8 @@ class TwoSample:
 
     def __post_init__(self) -> None:
         for name in ("x1", "x2"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            if arr.ndim != 1:
-                arr = arr.reshape(-1)
-            if arr.size == 0:
-                raise EmptySample(f"{name} has no observations")
-            if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
-                raise NonPositiveObservation(
-                    f"{name} must contain strictly positive finite values")
-            object.__setattr__(self, name, arr)
+            error = NonPositiveObservation if np.size(getattr(self, name)) else EmptySample
+            object.__setattr__(self, name, _positive(name, getattr(self, name), error, ndim=1))
 
     @property
     def n1(self) -> int:
@@ -88,18 +82,18 @@ class RatioEstimates:
 
 def variance_factor(n1: int, n2: int) -> float:
     """(n1 + n2 - 1) / (n1 * (n2 - 2)), the common factor of all the
-    approximation formulas.  Requires n2 > 2."""
-    if n1 < 1:
-        raise InsufficientSampleSize(f"n1 must be >= 1, got {n1}")
-    if n2 <= 2:
-        raise InsufficientSampleSize(f"n2 must exceed 2, got {n2}")
+    approximation formulas.  Requires integers n1 >= 1 and n2 > 2."""
+    n1 = _integer("n1", n1, 1, InsufficientSampleSize)
+    n2 = _integer("n2", n2, 3, InsufficientSampleSize, rule="exceed 2")
     return (n1 + n2 - 1.0) / (n1 * (n2 - 2.0))
 
 
 def corrected_ratio(r_hat, n2: int):
     """R* = R_hat * (n2 - 1) / n2, the unbiased ratio estimate, formed as
-    R_hat - R_hat / n2 so that it cannot overflow; float or ndarray R_hat."""
-    return r_hat - r_hat / n2
+    R_hat - R_hat / n2 so that it cannot overflow; float or ndarray R_hat.
+    Raises InsufficientSampleSize for n2 < 2, where E[1/mean(x2)] is infinite."""
+    _positive("r_hat", r_hat)
+    return r_hat - r_hat / _integer("n2", n2, 2, InsufficientSampleSize)
 
 
 def _sample_mean(x: np.ndarray) -> float:
@@ -117,7 +111,7 @@ def ratio_estimates(sample: TwoSample) -> RatioEstimates:
     and the two ratio estimates.
 
     Raises RatioOutOfRange when the two means are too far apart for their
-    ratio to be a positive finite float.
+    ratio to be a positive finite float.  r_hat_star is NaN at n2 = 1.
     """
     th1, th2 = _sample_mean(sample.x1), _sample_mean(sample.x2)
     r_hat = th1 / th2
@@ -125,7 +119,8 @@ def ratio_estimates(sample: TwoSample) -> RatioEstimates:
         raise RatioOutOfRange(
             f"the ratio of the sample means {th1:.6g} / {th2:.6g} is outside the float range")
     return RatioEstimates(n1=sample.n1, n2=sample.n2, theta1_hat=th1, theta2_hat=th2,
-                          r_hat=r_hat, r_hat_star=corrected_ratio(r_hat, sample.n2))
+                          r_hat=r_hat, r_hat_star=corrected_ratio(r_hat, sample.n2)
+                          if sample.n2 > 1 else math.nan)
 
 
 def ovl_point_estimates(r_hat, r_star) -> dict:
@@ -178,7 +173,7 @@ def taylor_moments(r: float, n1: int, n2: int) -> tuple[dict, dict]:
     r > 1, negated for the KL overlap.  At r = 1 delta's variance takes its
     limit c * e^-2, and its bias, with one-sided limits -+c/e, is NaN.
     """
-    c = variance_factor(n1, n2)
+    r, c = _real("r", r), variance_factor(n1, n2)
     folded = _fold(r)
     variances, biases = {}, {}
     for key in COEFFICIENTS:

@@ -31,6 +31,7 @@ import math
 
 import numpy as np
 
+from ._inputs import _positive, _real
 from .distributions import NonConvergence
 
 #: Canonical coefficient keys, used for dict results, CSV columns and CLI output.
@@ -40,13 +41,9 @@ COEFFICIENTS = ("delta", "rho", "lambda", "kl_lambda")
 def _fold(r):
     """The arrays (s, w, log s) of s = min(r, 1/r) <= 1 and w = 1 - s.  Above 1
     they are 1/r, (r - 1)/r and -log r, so w and log s keep full relative
-    accuracy near r = 1.  Raises ValueError for an empty argument or a ratio
-    that is not strictly positive and finite."""
-    r = np.asarray(r, dtype=float)
-    if r.size == 0:
-        raise ValueError("ratio argument is empty")
-    if not np.all(np.isfinite(r)) or not np.all(r > 0.0):
-        raise ValueError("ratio must be strictly positive and finite")
+    accuracy near r = 1.  Raises ValueError for an empty or non-numeric argument
+    (a bool is not a number) or a ratio that is not strictly positive and finite."""
+    r = _positive("ratio", r)
     top = np.maximum(r, 1.0)
     return np.minimum(r, 1.0 / top), np.abs(1.0 - r) / top, -np.abs(np.log(r))
 
@@ -171,9 +168,10 @@ def integrate_adaptive(f, a: float, b: float, tol: float = 1e-10,
     f is called on arrays of nodes: once on those of all the seeded
     intervals, then once per bisection on the 30 nodes of its two halves.
 
-    Raises NonConvergence when the subdivision budget is exhausted.
+    Raises ValueError unless a, b, tol are finite reals; NonConvergence if the budget runs out.
     """
-    pts = sorted({float(a), float(b), *(float(p) for p in (initial_points or ()))})
+    a, b, tol = (_real(k, v, low=-math.inf) for k, v in (("a", a), ("b", b), ("tol", tol)))
+    pts = sorted({a, b, *(float(p) for p in (initial_points or ()))})
     pts = [p for p in pts if a <= p <= b]
     heap: list[tuple[float, int, float, float, float]] = []
     counter = 0
@@ -229,10 +227,7 @@ def overlap_by_quadrature(rate1: float, rate2: float, which: str) -> float:
     """
     if which not in COEFFICIENTS:
         raise ValueError(f"unknown coefficient {which!r}, expected one of {COEFFICIENTS}")
-    for name, rate in (("rate1", rate1), ("rate2", rate2)):
-        if not (math.isfinite(rate) and rate > 0):
-            raise ValueError(f"{name} must be strictly positive and finite, got {rate!r}")
-    r1, r2 = rate1, rate2
+    r1, r2 = _real("rate1", rate1), _real("rate2", rate2)
     x_max = 50.0 / min(r1, r2)
     # min(f1, f2) has a kink where the densities cross; the error estimate of
     # a panel straddling it is far too small, so the crossing is a boundary

@@ -28,13 +28,13 @@ from __future__ import annotations
 import csv
 import json
 import math
-import numbers
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import estimation, measures
+from ._inputs import _integer, _positive, _real
 from .distributions import SeededStream, sample_exponential
 from .estimation import InsufficientSampleSize
 from .measures import COEFFICIENTS
@@ -58,13 +58,6 @@ class ConfigError(ValueError):
     """Invalid simulation configuration."""
 
 
-def _integer(name: str, value) -> int:
-    """``value`` as an int; a bool or a non-integral value is a ConfigError."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
 @dataclass(frozen=True)
 class SimConfig:
     """Study design: grid of ratios and sample sizes, replication count and seed."""
@@ -75,17 +68,16 @@ class SimConfig:
     seed: int = DEFAULT_SEED
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "r_values", tuple(float(r) for r in self.r_values))
-        object.__setattr__(self, "sample_sizes",
-                           tuple(_integer("each sample size", n) for n in self.sample_sizes))
-        object.__setattr__(self, "replications", _integer("replications", self.replications))
-        object.__setattr__(self, "seed", _integer("seed", self.seed))
-        if self.replications < 2:
-            raise ConfigError(f"replications must be >= 2, got {self.replications}")
-        if not self.r_values or any(not (math.isfinite(r) and r > 0) for r in self.r_values):
-            raise ConfigError("r_values must be nonempty and strictly positive")
-        if not 0 <= self.seed < 2 ** 64:
-            raise ConfigError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
+        r_values = _positive("r_values", self.r_values, ConfigError, ndim=1)
+        object.__setattr__(self, "r_values", tuple(r_values.tolist()))
+        if np.ndim(self.sample_sizes) != 1:
+            raise ConfigError(f"sample_sizes must be a sequence, got {self.sample_sizes!r}")
+        object.__setattr__(self, "sample_sizes", tuple(
+            _integer("each sample size", n, error=ConfigError) for n in self.sample_sizes))
+        object.__setattr__(self, "replications",
+                           _integer("replications", self.replications, 2, ConfigError))
+        object.__setattr__(self, "seed", _integer("seed", self.seed, 0, ConfigError, 2 ** 64,
+                                                  "be an unsigned 64-bit integer"))
         if not self.sample_sizes or min(self.sample_sizes) < 3:
             raise ConfigError(f"sample_sizes must be nonempty with every n >= 3, "
                               f"got {list(self.sample_sizes)}")
@@ -170,9 +162,7 @@ def run_cell(cfg: SimConfig, r: float, n: int) -> SimCell:
     population), so the same cell simulated standalone or inside run_study
     yields identical results.
     """
-    n = int(n)
-    if n <= 2:
-        raise InsufficientSampleSize(f"cells need n > 2, got n={n}")
+    r, n = _real("r", r, ConfigError), _integer("n", n, 3, InsufficientSampleSize)
 
     try:
         with np.errstate(over="raise"):

@@ -611,3 +611,32 @@ def test_ratio_ci_takes_an_estimate_report():
     sample = TwoSample([0.4, 1.7, 0.9, 2.2, 0.3], [1.1, 0.6, 2.8, 1.9])
     report = estimate_report(sample)
     assert confidence.ratio_ci(report) == confidence.ratio_ci(ratio_estimates(sample))
+
+
+# --- input errors ---------------------------------------------------------------------
+
+@pytest.mark.parametrize("args, message", [
+    (["simulate", "--r", "0"], "r_values must be nonempty and strictly positive"),
+    (["simulate", "--r", "inf"], "r_values must be nonempty and strictly positive"),
+    (["simulate", "--reps", "1"], "replications must be >= 2, got 1"),
+    (["simulate", "--n", "2"], "sample_sizes must be nonempty with every n >= 3, got [2]"),
+    (["simulate", "--seed", "-1"], "seed must be an unsigned 64-bit integer, got -1"),
+])
+def test_bad_input_messages_keep_their_text(runner, tmp_path, args, message):
+    res = runner.invoke(main, ["--output", str(tmp_path / "out"), *args])
+    assert (res.exit_code, res.output) == (3, f"error: {message}\n")
+    tiny = _write_sample(tmp_path / "tiny.txt", [1.0, 2.0])
+    res = runner.invoke(main, ["estimate", tiny, tiny])
+    assert (res.exit_code, res.output) == (3, "error: n2 must exceed 2, got 2\n")
+
+
+@pytest.mark.parametrize("args", [
+    ["curves", "--r-min", "1", "--r-max", "2", "--points", str(10 ** 18)],
+    ["simulate", "--r", "0.5", "--n", "20", "--reps", str(10 ** 18)],
+])
+def test_request_too_large_for_memory_exits_3(runner, tmp_path, args):
+    # 8e18 bytes lie past any 64-bit address space, so numpy's request fails
+    # before anything is allocated, whatever the kernel's overcommit policy
+    res = runner.invoke(main, ["--output", str(tmp_path / "out"), *args])
+    assert res.exit_code == 3, res.output
+    assert res.output.startswith("error: Unable to allocate"), res.output
