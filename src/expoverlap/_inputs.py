@@ -25,11 +25,26 @@ def _integer(name, value, low=-math.inf, error=ValueError, high=math.inf, rule=N
     return int(value)
 
 
+def _not_numbers(values, arr):
+    """Whether ``arr = np.asarray(values)`` is not of a numeric dtype, or came from a
+    list or tuple that holds a bool; only a list or tuple has its elements scanned."""
+    return arr.dtype.kind not in "fiu" or isinstance(values, (list, tuple)) and any(
+        isinstance(v, (bool, np.bool_)) for v in np.asarray(values, dtype=object).flat)
+
+
+def _points(name, values):
+    """``values`` as a float array, 0-d for a scalar, if numbers; the caller checks their range."""
+    arr = np.asarray(values)
+    if _not_numbers(values, arr):
+        raise ValueError(f"{name} must be a real number or an array of them")
+    return np.asarray(arr, dtype=float)
+
+
 def _positive(name, values, error=ValueError, ndim=None):
-    """``values`` as a float array, if of a numeric dtype, nonempty, of ``ndim``
+    """``values`` as a float array, if numbers, nonempty, of ``ndim``
     dimensions when given, and every value positive and finite."""
     arr = np.asarray(values)
-    if (arr.dtype.kind not in "fiu" or arr.size == 0 or ndim not in (None, arr.ndim)
+    if (_not_numbers(values, arr) or arr.size == 0 or ndim not in (None, arr.ndim)
             or not 0 < arr.min() <= arr.max() < math.inf):
         raise error(f"{name} must be nonempty and strictly positive")
     return np.asarray(arr, dtype=float)

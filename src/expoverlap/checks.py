@@ -65,14 +65,14 @@ def suite_closed_form_anchors() -> SuiteResult:
 
 
 def suite_oracle_equivalence() -> SuiteResult:
-    """Closed forms vs quadrature oracle at 50 log-spaced ratios, to 1e-6."""
+    """Closed forms vs quadrature oracle at 50 log-spaced ratios, to 1e-12."""
     checks = []
     for r in np.geomspace(0.05, 20.0, 50):
         for key in COEFFICIENTS:
             closed = MEASURES[key](float(r))
             oracle = measures.overlap_by_quadrature(float(r), 1.0, key)
-            checks.append((not abs(closed - oracle) > 1e-6,
-                           f"{key}(r={r:.4g}): closed {closed:.10f} vs oracle {oracle:.10f}"))
+            checks.append((not abs(closed - oracle) > 1e-12,
+                           f"{key}(r={r:.4g}): closed {closed:.17g} vs oracle {oracle:.17g}"))
     return _suite("oracle_equivalence", checks)
 
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._inputs import _integer, _real
+from ._inputs import _integer, _points, _real
 
 
 class NonConvergence(RuntimeError):
@@ -193,8 +193,7 @@ def regularized_incomplete_beta(a: float, b: float, x):
     a/(a+b).  Vectorized over x; a, b are scalars.  A scalar x runs the same
     continued fraction on Python floats, with the bits of a one-element array.
     """
-    a, b = _real("a", a), _real("b", b)
-    arr = np.asarray(x, dtype=float)
+    a, b, arr = _real("a", a), _real("b", b), _points("x", x)
     if not np.all((arr >= 0) & (arr <= 1)):
         raise ValueError("x must lie in [0, 1]")
     if arr.ndim == 0:
@@ -221,8 +220,7 @@ def regularized_incomplete_beta(a: float, b: float, x):
 def f_cdf(d1: int, d2: int, x):
     """CDF of the F(d1, d2) distribution: I_y(d1/2, d2/2), y = d1 x/(d1 x + d2),
     and y = 1 at x = inf."""
-    d1, d2 = _integer("d1", d1, 1), _integer("d2", d2, 1)
-    arr = np.asarray(x, dtype=float)
+    d1, d2, arr = _integer("d1", d1, 1), _integer("d2", d2, 1), _points("x", x)
     if not np.all(arr >= 0):
         raise ValueError("x must be nonnegative")
     # in place, to allocate no more than the plain quotient d1 x / (d1 x + d2)
@@ -307,7 +305,7 @@ def erlang_cdf(shape: int, scale: float, x):
     Vectorized over x; a 0-d x gives a np.float64 with the bits of an array element.
     """
     shape, scale = _integer("shape", shape, 1), _real("scale", scale)
-    y = np.maximum(np.asarray(x, dtype=float) / scale, 0.0)
+    y = np.maximum(_points("x", x) / scale, 0.0)
     with np.errstate(divide="ignore"):
         log_y = np.log(y)
     log_term = -y
@@ -319,8 +317,8 @@ def erlang_cdf(shape: int, scale: float, x):
 
 
 def ks_statistic(sample: np.ndarray, cdf) -> float:
-    """One-sample Kolmogorov-Smirnov distance between a sample and a CDF."""
-    xs = np.sort(np.asarray(sample, dtype=float))
+    """One-sample Kolmogorov-Smirnov distance between a sample, flattened, and a CDF."""
+    xs = np.sort(_points("sample", sample), axis=None)
     m = xs.size
     if m == 0:
         raise ValueError("empty sample")

@@ -18,21 +18,20 @@ written so that no term overflows, and the Taylor terms of ``estimation``
 use the same fold.
 
 ``overlap_by_quadrature(rate1, rate2, which)`` evaluates the defining
-integrals numerically over the two densities rate * exp(-rate * x), with
-adaptive Gauss-Kronrod quadrature; the ratio is r = rate1 / rate2.  It never
-calls the closed forms, so it serves as an independent oracle for them.
+integrals numerically over the two densities rate * exp(-rate * x), with a
+fixed 24-point Gauss-Legendre rule on panels at the known scales 2^k / rate;
+the ratio is r = rate1 / rate2.  It never calls the closed forms, so it serves
+as an independent oracle for them.
 """
 
 from __future__ import annotations
 
 import functools
-import heapq
 import math
 
 import numpy as np
 
 from ._inputs import _positive, _real
-from .distributions import NonConvergence
 
 #: Canonical coefficient keys, used for dict results, CSV columns and CLI output.
 COEFFICIENTS = ("delta", "rho", "lambda", "kl_lambda")
@@ -108,112 +107,30 @@ def overlap_quartet(r) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Adaptive Gauss-Kronrod quadrature (the independent oracle)
+# Fixed Gauss-Legendre quadrature (the independent oracle)
 # ---------------------------------------------------------------------------
 
-#: Absolute error target of each integral behind ``overlap_by_quadrature``.
-_QUADRATURE_TOL = 1e-10
-
-# 15-point Kronrod nodes with embedded 7-point Gauss rule.
-_GK_NODES = np.array([
-    -0.991455371120813, -0.949107912342759, -0.864864423359769,
-    -0.741531185599394, -0.586087235467691, -0.405845151377397,
-    -0.207784955007898, 0.0,
-    0.207784955007898, 0.405845151377397, 0.586087235467691,
-    0.741531185599394, 0.864864423359769, 0.949107912342759,
-    0.991455371120813,
-])
-_GK_WEIGHTS_K = np.array([
-    0.022935322010529, 0.063092092629979, 0.104790010322250,
-    0.140653259715525, 0.169004726639267, 0.190350578064785,
-    0.204432940075298, 0.209482141084728,
-    0.204432940075298, 0.190350578064785, 0.169004726639267,
-    0.140653259715525, 0.104790010322250, 0.063092092629979,
-    0.022935322010529,
-])
-_GK_WEIGHTS_G = np.array([
-    0.0, 0.129484966168870, 0.0,
-    0.279705391489277, 0.0, 0.381830050505119,
-    0.0, 0.417959183673469,
-    0.0, 0.381830050505119, 0.0,
-    0.279705391489277, 0.0, 0.129484966168870,
-    0.0,
-])
-#: The Kronrod and Gauss weights as the two columns of one (15, 2) matrix.
-_GK_WEIGHTS = np.stack([_GK_WEIGHTS_K, _GK_WEIGHTS_G], axis=1)
+#: Nodes and weights of the 24-point Gauss-Legendre rule on [-1, 1].
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
 
 
-def _gk15(f, lefts, rights) -> tuple[list[float], list[float]]:
-    """Gauss-Kronrod 15(7) panels [lefts[i], rights[i]] from one call of f on
-    all their nodes; returns each panel's estimate and error estimate."""
-    lefts, rights = np.asarray(lefts, dtype=float), np.asarray(rights, dtype=float)
-    half = 0.5 * (rights - lefts)
-    xs = half[:, None] * _GK_NODES + (0.5 * (lefts + rights))[:, None]
-    kg = np.asarray(f(xs), dtype=float) @ _GK_WEIGHTS
-    k15, g7 = half * kg[:, 0], half * kg[:, 1]
-    return k15.tolist(), np.abs(k15 - g7).tolist()
-
-
-#: Bisections integrate_adaptive may make before it raises NonConvergence.
-_MAX_SUBDIVISIONS = 4000
-
-
-def integrate_adaptive(f, a: float, b: float, tol: float = 1e-10,
-                       initial_points=None) -> float:
-    """Integrate f over [a, b] to absolute accuracy tol.
-
-    The worst interval (largest error estimate) is bisected until the summed
-    error estimate drops below tol.  ``initial_points`` seeds extra interval
-    boundaries, useful when the mass of the integrand is far from uniform.
-    f is called on arrays of nodes: once on those of all the seeded
-    intervals, then once per bisection on the 30 nodes of its two halves.
-
-    Raises ValueError unless a, b, tol are finite reals; NonConvergence if the budget runs out.
-    """
-    a, b, tol = (_real(k, v, low=-math.inf) for k, v in (("a", a), ("b", b), ("tol", tol)))
-    pts = sorted({a, b, *(float(p) for p in (initial_points or ()))})
-    pts = [p for p in pts if a <= p <= b]
-    heap: list[tuple[float, int, float, float, float]] = []
-    counter = 0
-    total_err = 0.0
-    for left, right, val, err in zip(pts, pts[1:], *_gk15(f, pts[:-1], pts[1:])):
-        heapq.heappush(heap, (-err, counter, left, right, val))
-        counter += 1
-        total_err += err
-
-    splits = 0
-    while total_err > tol:
-        if splits >= _MAX_SUBDIVISIONS:
-            raise NonConvergence(
-                f"error estimate {total_err:.3e} above tol {tol:.3e} "
-                f"after {splits} subdivisions")
-        neg_err, _, left, right, _ = heapq.heappop(heap)
-        total_err += neg_err  # neg_err = -err of the removed interval
-        mid = 0.5 * (left + right)
-        if mid <= left or mid >= right:
-            # interval at floating point resolution; keep its estimate as is
-            heapq.heappush(heap, (0.0, counter, left, right, -neg_err))
-            counter += 1
-            continue
-        lefts, rights = (left, mid), (mid, right)
-        for lo, hi, val, err in zip(lefts, rights, *_gk15(f, lefts, rights)):
-            heapq.heappush(heap, (-err, counter, lo, hi, val))
-            counter += 1
-            total_err += err
-        splits += 1
-
-    # sum in interval order for a deterministic, well-conditioned total
-    return float(sum(val for _, _, _, _, val in sorted(heap, key=lambda e: e[2])))
+def _gauss_legendre(f, edges) -> float:
+    """The 24-point Gauss-Legendre rule summed over the panels between consecutive
+    ``edges``, from one call of f on the (panels, 24) array of all their nodes."""
+    edges = np.asarray(edges, dtype=float)
+    half, mid = 0.5 * np.diff(edges), 0.5 * (edges[1:] + edges[:-1])
+    return float(half @ (f(half[:, None] * _GL_NODES + mid[:, None]) @ _GL_WEIGHTS))
 
 
 def overlap_by_quadrature(rate1: float, rate2: float, which: str) -> float:
     """Evaluate one overlap coefficient from its defining integral over the
     densities rate * exp(-rate * x) of the two populations.
 
-    The integrals run over [0, x_max] with x_max = 50 / min(rate1, rate2);
-    the neglected tail of every integrand is bounded by exp(-50), far below
-    the error target of _QUADRATURE_TOL per integral.  Absolute error of the
-    result is held below ~1e-9.
+    Each integrand is a sum of exponentials in x, smooth between the scales
+    2^k / rate, so the integrals run over [0, x_max], x_max = 50 / min(rate1,
+    rate2), on panels cut at 2^k / rate for k = -2 ... 6 and both rates, and for
+    delta at the kink of min(f1, f2) where the densities cross.  The neglected
+    tail of every integrand is bounded by exp(-50).
 
     Args:
         rate1: hazard rate of the first population.
@@ -223,19 +140,15 @@ def overlap_by_quadrature(rate1: float, rate2: float, which: str) -> float:
     Raises:
         ValueError: unknown coefficient key, or a rate that is not strictly
             positive and finite.
-        NonConvergence: budget exhausted before reaching the target.
     """
     if which not in COEFFICIENTS:
         raise ValueError(f"unknown coefficient {which!r}, expected one of {COEFFICIENTS}")
     r1, r2 = _real("rate1", rate1), _real("rate2", rate2)
     x_max = 50.0 / min(r1, r2)
-    # min(f1, f2) has a kink where the densities cross; the error estimate of
-    # a panel straddling it is far too small, so the crossing is a boundary
-    kinks = (math.log(r1 / r2) / (r1 - r2),) if which == "delta" and r1 != r2 else ()
-    seeds = sorted({s for s in (
-        1.0 / max(r1, r2), 1.0 / min(r1, r2),
-        5.0 / min(r1, r2), 20.0 / min(r1, r2), *kinks,
-    ) if 0.0 < s < x_max})
+    kinks = [math.log(r1 / r2) / (r1 - r2)] if which == "delta" and r1 != r2 else []
+    scales = 2.0 ** np.arange(-2, 7)
+    edges = np.unique([0.0, x_max, *kinks, *scales / r1, *scales / r2])
+    integrate = functools.partial(_gauss_legendre, edges=edges[edges <= x_max])
 
     def f1(x):
         return r1 * np.exp(-r1 * x)
@@ -243,21 +156,14 @@ def overlap_by_quadrature(rate1: float, rate2: float, which: str) -> float:
     def f2(x):
         return r2 * np.exp(-r2 * x)
 
-    def integrate(g, part_tol=_QUADRATURE_TOL):
-        return integrate_adaptive(g, 0.0, x_max, tol=part_tol, initial_points=seeds)
-
     if which == "delta":
         return integrate(lambda x: np.minimum(f1(x), f2(x)))
     if which == "rho":
         return integrate(lambda x: np.sqrt(f1(x) * f2(x)))
     if which == "lambda":
-        part_tol = 0.25 * _QUADRATURE_TOL * max(1.0, 0.5 * (r1 + r2))
-        i12 = integrate(lambda x: f1(x) * f2(x), part_tol)
-        i11 = integrate(lambda x: f1(x) ** 2, part_tol)
-        i22 = integrate(lambda x: f2(x) ** 2, part_tol)
-        return 2.0 * i12 / (i11 + i22)
+        i12 = integrate(lambda x: f1(x) * f2(x))
+        return 2.0 * i12 / (integrate(lambda x: f1(x) ** 2) + integrate(lambda x: f2(x) ** 2))
     # symmetric KL divergence, evaluated with log densities to dodge underflow
     log_ratio = math.log(r1) - math.log(r2)
-    j_tol = _QUADRATURE_TOL * (1.0 + r1 / r2 + r2 / r1)
-    j = integrate(lambda x: (f1(x) - f2(x)) * (log_ratio - (r1 - r2) * x), j_tol)
+    j = integrate(lambda x: (f1(x) - f2(x)) * (log_ratio - (r1 - r2) * x))
     return 1.0 / (1.0 + max(j, 0.0))

@@ -64,7 +64,7 @@ def test_criterion_2_oracle_equivalence():
     for r in np.geomspace(0.05, 20.0, 50):
         for key in COEFFICIENTS:
             gap = abs(MEASURES[key](float(r)) - overlap_by_quadrature(float(r), 1.0, key))
-            if gap > 1e-6:
+            if gap > 1e-12:
                 failures.append(f"{key}(r={r:.4g}) gap {gap:.2e}")
     _verdict(2, "oracle equivalence", failures)
 

@@ -36,10 +36,6 @@ _ESTIMATES = RatioEstimates(n1=5, n2=5, theta1_hat=1.0, theta2_hat=2.0, r_hat=0.
 _SMALL = SimConfig(r_values=(0.5,), sample_sizes=(3,), replications=4, seed=7)
 
 
-def _quadrature(a, b, tol=1e-10):
-    return measures.integrate_adaptive(lambda x: np.exp(-x), a, b, tol=tol)
-
-
 def _same(got, want) -> bool:
     """Equal values of equal shapes, through dicts, sequences and records."""
     if dataclasses.is_dataclass(want):
@@ -65,8 +61,9 @@ POSITIVE = st.floats(1e-3, 1e3)
 UNIT = st.floats(1e-3, 1.0 - 1e-3)
 
 #: Input site -> (kind, strategy, low of an integer, error type, call of the input).
-#: The kinds are "real" (a positive real), "unit" (a real in (0, 1)), "finite"
-#: (any finite real), "integer", "ratio" (a ratio array of any shape) and "seed".
+#: The kinds are "real" (a positive real), "unit" (a real in (0, 1)), "integer",
+#: "ratio" (a ratio array of any shape), "point" (a point or array of points at
+#: which a distribution function is evaluated) and "seed".
 SITES = {
     # measures
     "weitzman_delta": ("ratio", POSITIVE, None, ValueError, measures.weitzman_delta),
@@ -74,12 +71,6 @@ SITES = {
     "morisita_lambda": ("ratio", POSITIVE, None, ValueError, measures.morisita_lambda),
     "kl_lambda": ("ratio", POSITIVE, None, ValueError, measures.kl_lambda),
     "overlap_quartet": ("ratio", POSITIVE, None, ValueError, measures.overlap_quartet),
-    "integrate_adaptive.a": ("finite", st.floats(-5.0, 0.0), None, ValueError,
-                             lambda a: _quadrature(a, 1.0)),
-    "integrate_adaptive.b": ("finite", st.floats(0.0, 5.0), None, ValueError,
-                             lambda b: _quadrature(-1.0, b)),
-    "integrate_adaptive.tol": ("finite", st.floats(1e-10, 1e-3), None, ValueError,
-                               lambda tol: _quadrature(0.0, 1.0, tol)),
     "overlap_by_quadrature.rate1": ("real", st.floats(0.1, 10.0), None, ValueError,
                                     lambda x: measures.overlap_by_quadrature(x, 1.0, "rho")),
     "overlap_by_quadrature.rate2": ("real", st.floats(0.1, 10.0), None, ValueError,
@@ -105,10 +96,14 @@ SITES = {
     "regularized_incomplete_beta.b": ("real", POSITIVE, None, ValueError,
                                       lambda b: distributions.regularized_incomplete_beta(
                                           2.0, b, np.array([0.3, 0.7]))),
+    "regularized_incomplete_beta.x": ("point", UNIT, None, ValueError,
+                                      lambda x: distributions.regularized_incomplete_beta(
+                                          2.0, 3.0, x)),
     "f_cdf.d1": ("integer", st.integers(1, 60), 1, ValueError,
                  lambda d: distributions.f_cdf(d, 7, 1.3)),
     "f_cdf.d2": ("integer", st.integers(1, 60), 1, ValueError,
                  lambda d: distributions.f_cdf(7, d, np.array([0.4, 1.3]))),
+    "f_cdf.x": ("point", POSITIVE, None, ValueError, lambda x: distributions.f_cdf(2, 3, x)),
     "f_quantile.d1": ("integer", st.integers(1, 60), 1, ValueError,
                       lambda d: distributions.f_quantile(d, 7, 0.3)),
     "f_quantile.d2": ("integer", st.integers(1, 60), 1, ValueError,
@@ -119,6 +114,10 @@ SITES = {
                          lambda k: distributions.erlang_cdf(k, 1.0, 2.0)),
     "erlang_cdf.scale": ("real", POSITIVE, None, ValueError,
                          lambda s: distributions.erlang_cdf(3, s, np.array([0.5, 2.0]))),
+    "erlang_cdf.x": ("point", POSITIVE, None, ValueError,
+                     lambda x: distributions.erlang_cdf(3, 1.5, x)),
+    "ks_statistic.sample": ("point", POSITIVE, None, ValueError,
+                            lambda x: distributions.ks_statistic(x, np.tanh)),
     "ks_critical_value.m": ("integer", st.integers(1, 10 ** 6), 1, ValueError,
                             lambda m: distributions.ks_critical_value(m, 0.01)),
     "ks_critical_value.alpha": ("unit", UNIT, None, ValueError,
@@ -158,11 +157,9 @@ SITES = {
 OWN_TESTS = {"SimConfig.r_values", "SimConfig.sample_sizes", "TwoSample.x1", "TwoSample.x2"}
 
 #: Public functions whose arguments are records built by the validated
-#: constructors above, a coefficient key, file paths, or the points at which a
-#: distribution function is evaluated (any float array, NaN rejected where the
-#: function says so), not one of the library's inputs.
+#: constructors above, a coefficient key or file paths, not one of the library's inputs.
 NOT_INPUT_SITES = {
-    "ks_statistic", "ratio_estimates", "estimate_report", "ovl_ci", "all_ovl_cis",
+    "ratio_estimates", "estimate_report", "ovl_ci", "all_ovl_cis",
     "run_study", "compare_to_reference", "theoretical_vs_empirical", "write_cells_csv",
     "write_figure_csvs", "write_summary_json",
 }
@@ -170,24 +167,30 @@ NOT_INPUT_SITES = {
 
 def _bad(kind, value, low):
     """Inputs of ``kind`` near ``value`` that its site must reject."""
-    common = [True, False, np.bool_(True), str(value), math.nan, math.inf, -math.inf, None]
+    common = [True, False, np.bool_(True), str(value), None]
+    if kind == "point":  # any number is a point; each function checks the range
+        return common + [np.array([True, False]), np.array([str(value)]), [value, True],
+                         (np.bool_(False), value), [[value], [True]],
+                         np.array([value], dtype=object), np.array([value + 1j])]
+    common += [math.nan, math.inf, -math.inf]
     if kind == "ratio":
         return common + [0.0, -value, [], np.array([True, False]), np.array([str(value)]),
-                         np.array([value, math.nan]), np.array([value], dtype=object)]
+                         [value, True], np.array([value, math.nan]),
+                         np.array([value], dtype=object)]
     common += [np.full((2, 2), value), np.array(value)]
     if kind == "real":
         return common + [0.0, -value, np.float64(-value)]
     if kind == "unit":
         return common + [0.0, -value, 1.0, 1.0 + value]
-    if kind == "finite":
-        return common
     return common + [value + 0.5, float(value), np.float64(value), low - 1, np.int64(low - 1)]
 
 
 def _equivalent(kind, value):
     """(equivalent input, shape of its result, or None for the canonical one) pairs."""
-    if kind in ("real", "unit", "finite"):
+    if kind in ("real", "unit"):
         return [(np.float64(value), None)]
+    if kind == "point":
+        return [(np.float64(value), None), (np.array(value), None)]
     if kind == "ratio":
         return [(np.float64(value), None), (np.full((2, 3), value), (2, 3)),
                 (np.full((1, 1, 2), value), (1, 1, 2))]
@@ -233,7 +236,7 @@ def test_config_ratios_are_a_one_dimensional_ratio_array(r):
     assert all(type(v) is float for v in want.r_values)
     for same in (list(r), np.array(r), [np.float64(v) for v in r]):
         assert SimConfig(r_values=same) == want
-    for bad in (r[0], str(r[0]), "".join(map(str, r)), [True], [str(v) for v in r],
+    for bad in (r[0], str(r[0]), "".join(map(str, r)), [True], [*r, True], [str(v) for v in r],
                 [[v] for v in r], [], [math.nan], [*r, math.inf], [*r, 0.0], None):
         with pytest.raises(ConfigError):
             SimConfig(r_values=bad)
@@ -266,7 +269,7 @@ def test_two_sample_is_a_one_dimensional_positive_array(x, side):
     assert _same(sample(np.array(ints)), sample([float(v) for v in ints]))
     with pytest.raises(EmptySample):
         sample([])
-    for bad in ("123", str(x[0]), True, [True, True], [str(v) for v in x], [x], x[0],
+    for bad in ("123", str(x[0]), True, [True, True], (*x, True), [str(v) for v in x], [x], x[0],
                 [*x, math.nan], [*x, math.inf], [*x, -x[0]], [*x, 0.0],
                 np.array(x, dtype=object), None):
         with pytest.raises(NonPositiveObservation):
@@ -288,6 +291,10 @@ NAMED_BAD_INPUTS = {
     "overlap_by_quadrature(True, 1.0, 'rho')": (
         lambda: measures.overlap_by_quadrature(True, 1.0, "rho"), ValueError),
     "erlang_cdf(True, 1.0, 1.0)": (lambda: distributions.erlang_cdf(True, 1.0, 1.0), ValueError),
+    "f_cdf(2, 3, '0.5')": (lambda: distributions.f_cdf(2, 3, "0.5"), ValueError),
+    "f_cdf(2, 3, True)": (lambda: distributions.f_cdf(2, 3, True), ValueError),
+    "SimConfig(r_values=(0.5, True))": (lambda: SimConfig(r_values=(0.5, True)), ConfigError),
+    "overlap_quartet([0.5, True])": (lambda: measures.overlap_quartet([0.5, True]), ValueError),
 }
 
 

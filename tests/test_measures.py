@@ -8,13 +8,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from anchors import ANCHORS
-from expoverlap.distributions import NonConvergence
+from expoverlap import checks, measures
 from expoverlap.measures import (
     COEFFICIENTS,
     MEASURES,
     _fold,
     _log_over_gap,
-    integrate_adaptive,
     kl_lambda,
     matusita_rho,
     morisita_lambda,
@@ -99,35 +98,35 @@ def test_symmetric_kl_matches_quadrature():
     for r in (0.2, 0.5, 3.0):
         j = (r - 1.0) ** 2 / r
         j_oracle = 1.0 / overlap_by_quadrature(r, 1.0, "kl_lambda") - 1.0
-        assert abs(j_oracle - j) <= 1e-8
+        assert abs(j_oracle - j) <= 1e-12
         assert abs(kl_lambda(r) - 1.0 / (1.0 + j)) <= 1e-15
 
 
 def test_oracle_spot_values():
-    assert abs(overlap_by_quadrature(1.0, 1.0, "delta") - 1.0) <= 1e-9
-    assert abs(overlap_by_quadrature(1.0, 2.0, "delta") - 0.750) <= 1e-9
+    assert abs(overlap_by_quadrature(1.0, 1.0, "delta") - 1.0) <= 1e-12
+    assert abs(overlap_by_quadrature(1.0, 2.0, "delta") - 0.750) <= 1e-12
     rho_02 = 2.0 * math.sqrt(0.2) / 1.2
-    assert abs(overlap_by_quadrature(1.0, 5.0, "rho") - rho_02) <= 1e-9
+    assert abs(overlap_by_quadrature(1.0, 5.0, "rho") - rho_02) <= 1e-12
 
 
 @pytest.mark.parametrize("r", np.geomspace(0.05, 20.0, 10))
 def test_oracle_matches_closed_forms(r):
     for key in COEFFICIENTS:
-        assert abs(MEASURES[key](float(r)) - overlap_by_quadrature(float(r), 1.0, key)) <= 1e-6
+        assert abs(MEASURES[key](float(r)) - overlap_by_quadrature(float(r), 1.0, key)) <= 1e-12
 
 
 def test_oracle_scale_invariance():
     base = [overlap_by_quadrature(0.5, 1.0, k) for k in COEFFICIENTS]
     for c in (0.1, 10.0):
         scaled = [overlap_by_quadrature(0.5 * c, 1.0 * c, k) for k in COEFFICIENTS]
-        assert all(abs(a - b) <= 1e-8 for a, b in zip(base, scaled))
+        assert all(abs(a - b) <= 1e-12 for a, b in zip(base, scaled))
 
 
 def test_oracle_mean_parameterization():
     # mean parameters (2, 1) are rates (1/2, 1), rate ratio 1/2; by
     # reciprocity the quartet must equal the closed forms at the mean ratio 2
     for key in COEFFICIENTS:
-        assert abs(overlap_by_quadrature(1.0 / 2.0, 1.0 / 1.0, key) - MEASURES[key](2.0)) <= 1e-6
+        assert abs(overlap_by_quadrature(1.0 / 2.0, 1.0 / 1.0, key) - MEASURES[key](2.0)) <= 1e-12
 
 
 def test_oracle_rejects_unknown_key():
@@ -135,17 +134,51 @@ def test_oracle_rejects_unknown_key():
         overlap_by_quadrature(1.0, 2.0, "jaccard")
 
 
-def test_quadrature_budget_exhaustion():
-    # the delta integrand at rates (1, 7), kink and all, cannot reach an
-    # error estimate of exactly 0 within the subdivision budget
-    with pytest.raises(NonConvergence):
-        integrate_adaptive(lambda x: np.minimum(np.exp(-x), 7.0 * np.exp(-7.0 * x)),
-                           0.0, 50.0, tol=0.0)
+#: Ratios at which the oracle is held to the closed forms: 233 log-spaced over
+#: [1e-8, 1e8], 1 itself, and 1 + 1e-9, where the delta kink nearly meets 1/rate.
+ORACLE_RATIOS = [*np.geomspace(1e-8, 1e8, 233).tolist(), 1.0, 1.0 + 1e-9]
 
 
-def test_integrate_adaptive_known_integral():
-    val = integrate_adaptive(lambda x: np.exp(-x), 0.0, 60.0, tol=1e-12)
-    assert abs(val - 1.0) <= 1e-11
+@pytest.mark.parametrize("key", COEFFICIENTS)
+def test_oracle_matches_closed_forms_over_sixteen_decades(key):
+    # the panels up to 2^6 / rate matter: with 2^5 the last panel is too wide
+    # for rho beyond ratios of 1e+-6
+    gaps = [abs(overlap_by_quadrature(r, 1.0, key) - MEASURES[key](r)) for r in ORACLE_RATIOS]
+    worst = int(np.argmax(gaps))
+    assert gaps[worst] <= 1e-14, (ORACLE_RATIOS[worst], gaps[worst])
+
+
+def _mpmath_overlap(r, key):
+    """The defining integral of ``key`` at rates (r, 1), by mpmath at 30 digits."""
+    r, one = mpmath.mpf(r), mpmath.mpf(1)
+    cuts = sorted({mpmath.mpf(0), 1 / r, one, 10 / r, mpmath.mpf(10)}) + [mpmath.inf]
+
+    def f1(x):
+        return r * mpmath.exp(-r * x)
+
+    def f2(x):
+        return mpmath.exp(-x)
+
+    def quad(g, extra=()):
+        return mpmath.quad(g, sorted({*cuts[:-1], *extra}) + [mpmath.inf])
+
+    if key == "delta":
+        return quad(lambda x: min(f1(x), f2(x)), [mpmath.log(r) / (r - 1)] if r != 1 else [])
+    if key == "rho":
+        return quad(lambda x: mpmath.sqrt(f1(x) * f2(x)))
+    if key == "lambda":
+        return 2 * quad(lambda x: f1(x) * f2(x)) / (quad(lambda x: f1(x) ** 2)
+                                                    + quad(lambda x: f2(x) ** 2))
+    return 1 / (1 + quad(lambda x: (f1(x) - f2(x)) * (mpmath.log(r) - (r - 1) * x)))
+
+
+@pytest.mark.parametrize("r", [1e-6, 0.05, 0.5, 1.0, 3.0, 40.0, 1e6])
+def test_oracle_matches_mpmath_quadrature(r):
+    # an oracle independent of the closed forms the fixed rule is checked against
+    with mpmath.workdps(30):
+        for key in COEFFICIENTS:
+            want = float(_mpmath_overlap(r, key))
+            assert abs(overlap_by_quadrature(r, 1.0, key) - want) <= 1e-14, (key, want)
 
 
 @settings(max_examples=25, deadline=None)
@@ -153,7 +186,7 @@ def test_integrate_adaptive_known_integral():
 @example(r=17.25)
 @example(r=0.058)
 def test_oracle_equivalence_property(r):
-    assert abs(weitzman_delta(r) - overlap_by_quadrature(r, 1.0, "delta")) <= 1e-6
+    assert abs(weitzman_delta(r) - overlap_by_quadrature(r, 1.0, "delta")) <= 1e-12
 
 
 def test_vectorized_matches_scalar():
@@ -217,3 +250,23 @@ def test_closed_form_wrapper_types():
         for bad in (np.array([]), np.array([0.5, math.nan])):
             with pytest.raises(ValueError):
                 fn(bad)
+
+
+def test_oracle_work_of_check_is_fixed(monkeypatch):
+    # check's 200 oracle calls, counted through a wrapped integrand: the panel
+    # rule fixes every integral's nodes, so no count depends on the seed
+    seen = {"integrals": 0, "panels": 0, "points": 0}
+    rule = measures._gauss_legendre
+
+    def counted(f, edges):
+        def g(x):
+            seen["points"] += x.size
+            return f(x)
+        seen["integrals"] += 1
+        seen["panels"] += len(edges) - 1
+        return rule(g, edges)
+
+    monkeypatch.setattr(measures, "_gauss_legendre", counted)
+    assert checks.suite_oracle_equivalence().passed
+    # 50 ratios; delta, rho and kl_lambda take one integral each, lambda three
+    assert seen == {"integrals": 300, "panels": 5426, "points": 24 * 5426}
