@@ -44,11 +44,7 @@ class SuiteResult:
 
 
 def _suite(name: str, checks: list[tuple[bool, str]]) -> SuiteResult:
-    """A suite's verdict from its (passed, message) checks.
-
-    Each predicate is written as ``not <failure condition>``, so a NaN
-    statistic passes or fails exactly as that condition says.
-    """
+    """A suite's verdict from its (passed, message) checks."""
     failures = [message for passed, message in checks if not passed]
     return SuiteResult(name=name, passed=not failures, n_checks=len(checks),
                        failures=failures)
@@ -71,7 +67,7 @@ def suite_oracle_equivalence() -> SuiteResult:
         for key in COEFFICIENTS:
             closed = MEASURES[key](float(r))
             oracle = measures.overlap_by_quadrature(float(r), 1.0, key)
-            checks.append((not abs(closed - oracle) > 1e-12,
+            checks.append((abs(closed - oracle) <= 1e-12,
                            f"{key}(r={r:.4g}): closed {closed:.17g} vs oracle {oracle:.17g}"))
     return _suite("oracle_equivalence", checks)
 
@@ -88,12 +84,12 @@ def suite_structural_properties() -> SuiteResult:
         below = fn(np.geomspace(1e-3, 1.0 - 1e-9, 1000))
         above = fn(np.geomspace(1.0 + 1e-9, 1e3, 1000))
         checks += [
-            (not (np.any(vals < 0.0) or np.any(vals > 1.0)),
+            (np.all((vals >= 0.0) & (vals <= 1.0)),
              f"{key}: values escape [0, 1] on the grid"),
             (at_one == 1.0, f"{key}(1) = {at_one!r}, expected exactly 1.0"),
-            (not (fn(1e-12) > 1e-5 or fn(1e12) > 1e-5),
+            (fn(1e-12) <= 1e-5 and fn(1e12) <= 1e-5,
              f"{key}: vanishing-limit proxy above 1e-5"),
-            (not gap > 1e-12, f"{key}: reciprocity gap {gap:.3e}"),
+            (gap <= 1e-12, f"{key}: reciprocity gap {gap:.3e}"),
             (np.all(np.diff(below) > 0) and np.all(np.diff(above) < 0),
              f"{key}: piecewise monotonicity violated"),
         ]
@@ -108,12 +104,12 @@ def suite_quantile_accuracy(seed: int) -> SuiteResult:
     for u1, u2, u3 in u:
         d1, d2, prob = 1 + int(u1 * 399), 1 + int(u2 * 399), 0.001 + 0.998 * u3
         gap = abs(f_cdf(d1, d2, f_quantile(d1, d2, prob)) - prob)
-        checks.append((not gap > 1e-10,
+        checks.append((gap <= 1e-10,
                        f"round-trip df=({d1},{d2}) prob={prob:.4f}: gap {gap:.2e}"))
 
     # independent anchor from printed F tables
     q = f_quantile(20, 20, 0.975)
-    checks.append((not abs(q - 2.4645) > 5e-4,
+    checks.append((abs(q - 2.4645) <= 5e-4,
                    f"F quantile(20,20; 0.975) = {q:.6f}, expected 2.4645 +- 5e-4"))
 
     # q(d1, d2; p) = 1 / q(d2, d1; 1 - p), to relative tolerance 1e-9
@@ -123,7 +119,7 @@ def suite_quantile_accuracy(seed: int) -> SuiteResult:
                        f"reciprocal identity failed for ({d1},{d2},{prob})"))
 
     med = f_quantile(24, 24, 0.5)
-    checks.append((not abs(med - 1.0) > 1e-9, f"median of equal-df F = {med!r}, expected 1.0"))
+    checks.append((abs(med - 1.0) <= 1e-9, f"median of equal-df F = {med!r}, expected 1.0"))
     return _suite("quantile_accuracy", checks)
 
 
@@ -145,12 +141,12 @@ def suite_distribution_laws(seed: int) -> SuiteResult:
     ratio = theta_hat / second.mean(axis=1)
     d_f = ks_statistic(ratio, lambda x: f_cdf(2 * n_obs, 2 * n_obs, x))
     return _suite("distribution_laws", [
-        (not mean_gap > 3.0 / math.sqrt(n_obs * replications),
+        (mean_gap <= 3.0 / math.sqrt(n_obs * replications),
          f"mean of theta_hat off by {mean_gap:.5f}"),
-        (not abs(var - var_target) > 0.05 * var_target,
+        (abs(var - var_target) <= 0.05 * var_target,
          f"variance of theta_hat {var:.5f} vs {var_target:.5f}"),
-        (not d_gamma > crit, f"gamma law KS {d_gamma:.5f} > critical {crit:.5f}"),
-        (not d_f > crit, f"F law KS {d_f:.5f} > critical {crit:.5f}"),
+        (d_gamma <= crit, f"gamma law KS {d_gamma:.5f} > critical {crit:.5f}"),
+        (d_f <= crit, f"F law KS {d_f:.5f} > critical {crit:.5f}"),
     ])
 
 

@@ -120,7 +120,7 @@ class SimulationTable:
 
     def cell(self, r: float, n: int) -> SimCell:
         for cell in self.cells:
-            if math.isclose(cell.r, r, rel_tol=1e-12) and cell.n == n:
+            if (cell.r, cell.n) == (r, n):
                 return cell
         raise KeyError(f"no cell (r={r}, n={n}) in table")
 
@@ -234,40 +234,29 @@ class ComparisonReport:
     entries: list[ComparisonEntry] = field(repr=False)
 
 
-def _is_reference_grid(cfg: SimConfig) -> bool:
-    if len(cfg.r_values) != len(REFERENCE_R_VALUES):
-        return False
-    if any(not math.isclose(a, b, rel_tol=1e-12)
-           for a, b in zip(sorted(cfg.r_values), REFERENCE_R_VALUES)):
-        return False
-    return sorted(cfg.sample_sizes) == list(REFERENCE_SAMPLE_SIZES)
-
-
 def compare_to_reference(table: SimulationTable) -> ComparisonReport | None:
     """Grade a default-grid study against the embedded reference values.
 
     Per cell, coefficient and metric (bias, mse) the check is
     |empirical - reference| <= max(0.01, 3 * mc_se); excluded cells are
-    reported but not graded.  Returns None off the reference grid.
+    reported but not graded.  Returns None off the exact reference (r, n) cells.
     """
-    if not _is_reference_grid(table.config):
+    if sorted((c.r, c.n) for c in table.cells) != sorted(REFERENCE_CELLS):
         return None
 
     entries: list[ComparisonEntry] = []
     for cell in table.cells:
-        ref_key = next(k for k in REFERENCE_CELLS
-                       if math.isclose(k[0], cell.r, rel_tol=1e-12) and k[1] == cell.n)
         for coeff in COEFFICIENTS:
             stats = cell.stats[coeff]
             tolerance = max(TOLERANCE_FLOOR, 3.0 * stats.mc_se)
-            for metric, empirical, reference in zip(
-                    ("bias", "mse"), (stats.bias, stats.mse), REFERENCE_CELLS[ref_key][coeff]):
+            for metric, empirical, reference in zip(("bias", "mse"), (stats.bias, stats.mse),
+                                                    REFERENCE_CELLS[cell.r, cell.n][coeff]):
                 diff = abs(empirical - reference)
                 entries.append(ComparisonEntry(
                     r=cell.r, n=cell.n, coefficient=coeff, metric=metric,
                     empirical=empirical, reference=reference, abs_diff=diff,
                     tolerance=tolerance, passed=diff <= tolerance,
-                    excluded=(*ref_key, coeff, metric) in EXCLUDED_CELLS))
+                    excluded=(cell.r, cell.n, coeff, metric) in EXCLUDED_CELLS))
 
     graded = [e for e in entries if not e.excluded]
     n_passed = sum(e.passed for e in graded)

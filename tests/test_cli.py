@@ -572,6 +572,20 @@ def test_sampling_law_failures_name_their_gate(monkeypatch, bench_oracles, targe
     assert reported == gates and len(result.failures) == len(gates)
 
 
+def test_nan_law_cdf_fails_its_ks_gate(monkeypatch, bench_oracles):
+    monkeypatch.setattr(checks, "erlang_cdf", lambda k, scale, x: np.full(np.shape(x), np.nan))
+    result = checks.suite_distribution_laws(DEFAULT_SEED)
+    assert not result.passed
+    assert any(f.startswith(bench_oracles.LAW_GATES["gamma_ks"]) for f in result.failures)
+
+
+def test_nan_coefficient_fails_every_structural_gate(monkeypatch):
+    monkeypatch.setitem(checks.MEASURES, "rho", lambda r: np.full(np.shape(r), np.nan))
+    result = checks.suite_structural_properties()
+    rho_failures = [f for f in result.failures if f.startswith("rho")]
+    assert len(rho_failures) == 5 and len(result.failures) == 5
+
+
 def test_check_rejects_negative_seed(runner):
     assert runner.invoke(main, ["check", "--seed", "-1"]).exit_code == 2
 

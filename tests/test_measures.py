@@ -270,3 +270,9 @@ def test_oracle_work_of_check_is_fixed(monkeypatch):
     assert checks.suite_oracle_equivalence().passed
     # 50 ratios; delta, rho and kl_lambda take one integral each, lambda three
     assert seen == {"integrals": 300, "panels": 5426, "points": 24 * 5426}
+
+
+def test_nan_oracle_fails_every_oracle_gate(monkeypatch):
+    monkeypatch.setattr(measures, "overlap_by_quadrature", lambda r1, r2, key: math.nan)
+    result = checks.suite_oracle_equivalence()
+    assert not result.passed and len(result.failures) == result.n_checks == 200

@@ -198,6 +198,15 @@ def test_compare_requires_reference_grid(small_table):
     assert compare_to_reference(small_table) is None
     assert compare_to_reference(run_study(SimConfig(r_values=(0.3,), sample_sizes=(20,),
                                                     replications=10))) is None
+    # a study cell is its exact (r, n): one ratio 1 ulp off the grid is not graded
+    near = SimConfig(r_values=(np.nextafter(0.2, 1.0), 0.5, 0.8), replications=2)
+    assert compare_to_reference(run_study(near)) is None
+    # the reference cells in any order are graded
+    reverse = run_study(SimConfig(r_values=(0.8, 0.5, 0.2),
+                                  sample_sizes=(500, 200, 100, 50, 20), replications=2))
+    assert len(compare_to_reference(reverse).entries) == 120
+    with pytest.raises(KeyError):
+        reverse.cell(np.nextafter(0.2, 1.0), 20)
 
 
 def test_reference_table_shape():
