@@ -18,7 +18,8 @@ lines, are parsed in one pass; any other file takes the line-by-line loop,
 which names the first bad line.
 
 Exit codes: 0 ok, 2 unreadable input, a ratio of sample means outside the
-float range, unwritable output or usage error,
+float range, an unwritable ``--output`` path, standard output that cannot be
+written, or usage error,
 3 insufficient data or bad configuration (a ``simulate`` ratio whose draws
 or sample means leave the float range, overflowing or underflowing to 0, or
 a request too large for memory),
@@ -33,7 +34,6 @@ import io
 import json
 import math
 import sys
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from itertools import islice
 from pathlib import Path
@@ -42,6 +42,7 @@ import click
 import numpy as np
 
 from . import checks, confidence, estimation, measures, simulation
+from ._inputs import _integer, _real
 from .distributions import NonConvergence
 from .estimation import InsufficientSampleSize, RatioOutOfRange, TwoSample
 from .measures import COEFFICIENTS
@@ -58,29 +59,16 @@ class SampleFileError(Exception):
     """A sample file could not be parsed; the message names the line."""
 
 
-class OutputPathError(Exception):
-    """The ``--output`` destination could not be written; the message names it."""
-
-
 #: Exit code of each error a command may raise; see ``_Main.invoke``.
 EXIT_CODES = {
     SampleFileError: EXIT_INPUT,
-    OutputPathError: EXIT_INPUT,
+    OSError: EXIT_INPUT,
     RatioOutOfRange: EXIT_INPUT,
     InsufficientSampleSize: EXIT_INSUFFICIENT,
     ConfigError: EXIT_INSUFFICIENT,
     MemoryError: EXIT_INSUFFICIENT,
     NonConvergence: EXIT_NONCONVERGENCE,
 }
-
-
-@contextmanager
-def _writing(name=None):
-    """Turn an OSError into OutputPathError naming ``name``, else the failed file."""
-    try:
-        yield
-    except OSError as exc:
-        raise OutputPathError(f"{name or exc.filename}: {exc.strerror or exc}") from exc
 
 
 def read_sample_file(path: str) -> np.ndarray:
@@ -90,9 +78,8 @@ def read_sample_file(path: str) -> np.ndarray:
     so the one-pass parse gives the bits of ``_parse_lines``.
     """
     try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
-        raise SampleFileError(f"{path}: {exc.strerror or exc}") from exc
+        with open(path, encoding="utf-8") as fh:  # an OSError names the path as given
+            lines = fh.read().splitlines()
     except UnicodeDecodeError as exc:
         raise SampleFileError(f"{path}: not UTF-8 text (byte {exc.start})") from exc
     start = 0
@@ -137,8 +124,8 @@ class OutputSpec:
         if self.destination == "-":
             click.echo(text, nl=not text.endswith("\n"))
         else:
-            with _writing(self.destination):
-                Path(self.destination).write_text(text if text.endswith("\n") else text + "\n")
+            with open(self.destination, "w") as fh:
+                fh.write(text if text.endswith("\n") else text + "\n")
 
 
 def _csv_text(header, rows) -> str:
@@ -151,11 +138,16 @@ def _csv_text(header, rows) -> str:
 
 class _Main(click.Group):
     def invoke(self, ctx: click.Context):
-        """Run the command; an error listed in EXIT_CODES ends it with its code."""
+        """Run the command; an error listed in EXIT_CODES ends it with its code.
+        An OSError is named by its file, else by ``--output`` unless that is '-'."""
         try:
             return super().invoke(ctx)
+        except BrokenPipeError:
+            raise  # a reader that closed the pipe: click's main ends the run quietly
         except tuple(EXIT_CODES) as exc:
-            click.echo(f"error: {exc}", err=True)
+            name = (exc.filename or ctx.params["output"]) if isinstance(exc, OSError) else "-"
+            message = exc if name == "-" else f"{name}: {exc.strerror or exc}"
+            click.echo(f"error: {message}", err=True)
             sys.exit(next(code for cls, code in EXIT_CODES.items() if isinstance(exc, cls)))
 
 
@@ -219,9 +211,7 @@ def estimate(out: OutputSpec, file1: str, file2: str) -> None:
 @click.pass_obj
 def ci(out: OutputSpec, file1: str, file2: str, level: float) -> None:
     """Confidence intervals for the ratio and each overlap coefficient."""
-    if not (0.0 < level < 1.0):
-        raise click.BadParameter("level must lie strictly between 0 and 1",
-                                 param_hint="--level")
+    _real("--level", level, click.BadParameter, high=1.0)
     estimates = estimation.ratio_estimates(_load_two_samples(file1, file2))
     r_int = confidence.ratio_ci(estimates, level=level)
     ovl_ints = confidence.all_ovl_cis(r_int)
@@ -255,10 +245,9 @@ def ci(out: OutputSpec, file1: str, file2: str, level: float) -> None:
 @click.pass_obj
 def curves(out: OutputSpec, r_min: float, r_max: float, points: int) -> None:
     """Tabulate the four coefficients on a ratio grid (plot-ready)."""
-    if not (0.0 < r_min < r_max) or not math.isfinite(r_max):
-        raise click.BadParameter("need 0 < r-min < r-max", param_hint="--r-min/--r-max")
-    if points < 2:
-        raise click.BadParameter("need at least 2 points", param_hint="--points")
+    _real("--r-min", r_min, click.BadParameter)
+    _real("--r-max", r_max, click.BadParameter, low=r_min)
+    _integer("--points", points, 2, click.BadParameter)
 
     rs = np.linspace(r_min, r_max, points)
     series = measures.overlap_quartet(rs)
@@ -309,17 +298,15 @@ def simulate(out: OutputSpec, r_text: str, n_text: str, reps: int, seed: int) ->
     cfg = SimConfig(r_values=r_values, sample_sizes=sample_sizes, replications=reps, seed=seed)
 
     out_dir = Path("simulation_output" if out.destination == "-" else out.destination)
-    with _writing(out_dir):
-        out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     table = simulation.run_study(cfg)
     comparison = simulation.compare_to_reference(table)
     theory = simulation.theoretical_vs_empirical(table)
 
-    with _writing():
-        simulation.write_cells_csv(table, comparison, out_dir / "cells.csv")
-        simulation.write_figure_csvs(table, out_dir)
-        simulation.write_summary_json(table, comparison, theory, out_dir / "summary.json")
+    simulation.write_cells_csv(table, comparison, out_dir / "cells.csv")
+    simulation.write_figure_csvs(table, out_dir)
+    simulation.write_summary_json(table, comparison, theory, out_dir / "summary.json")
 
     if comparison is None:
         verdict = "reference comparison skipped (non-reference grid)"

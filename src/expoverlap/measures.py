@@ -81,7 +81,7 @@ def matusita_rho(s, w, log_s):
 @_closed_form
 def morisita_lambda(s, w, log_s):
     """Morisita similarity index 4*r/(1 + r)**2."""
-    return 4.0 * s / (1.0 + s) ** 2
+    return 4.0 * s / ((1.0 + s) * (1.0 + s))  # a np.float64's ** 2 is libm's pow
 
 
 @_closed_form

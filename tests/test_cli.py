@@ -1,6 +1,9 @@
 import csv
+import errno
 import json
 import math
+import os
+import subprocess
 import sys
 import warnings
 from dataclasses import fields
@@ -11,7 +14,7 @@ from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from expoverlap import checks, confidence, distributions, measures
+from expoverlap import checks, confidence, distributions, measures, simulation
 from expoverlap.cli import SampleFileError, main, read_sample_file
 from expoverlap.confidence import ConfidenceInterval
 from expoverlap.distributions import NonConvergence, SeededStream, sample_exponential
@@ -529,6 +532,41 @@ def test_simulate_unwritable_result_file_is_input_error(runner, tmp_path):
                                "--n", "10", "--reps", "10"])
     assert res.exit_code == 2
     assert f"error: {tmp_path / 'cells.csv'}: Is a directory" in res.output
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_full_standard_output_is_input_error(constant_files):
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "expoverlap", "estimate", *constant_files],
+                              stdout=full, stderr=subprocess.PIPE, text=True)
+    assert (proc.returncode, proc.stderr) == (2, "error: [Errno 28] No space left on device\n")
+
+
+def test_closed_standard_output_pipe_ends_quietly(constant_files):
+    # as `| head -c 10` does once it has read enough: the read end is closed
+    # before the command writes, so its write fails with EPIPE
+    proc = subprocess.Popen([sys.executable, "-m", "expoverlap", "estimate", *constant_files],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    proc.stdout.close()
+    assert (proc.wait(), proc.stderr.read()) == (1, "")
+    proc.stderr.close()
+
+
+def test_nameless_write_error_names_the_output_directory(runner, tmp_path, monkeypatch):
+    def disk_full(*args):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(simulation, "write_cells_csv", disk_full)
+    out = tmp_path / "out"
+    res = runner.invoke(main, ["--output", str(out), "simulate", "--r", "0.5",
+                               "--n", "10", "--reps", "10"])
+    assert (res.exit_code, res.output) == (2, f"error: {out}: No space left on device\n")
+
+
+def test_missing_sample_file_is_named_as_given(runner, tmp_path, monkeypatch, constant_files):
+    monkeypatch.chdir(tmp_path)
+    res = runner.invoke(main, ["estimate", "./nope/x.txt", constant_files[0]])
+    assert (res.exit_code, res.output) == (2, "error: ./nope/x.txt: No such file or directory\n")
 
 
 # --- check --------------------------------------------------------------------------

@@ -198,6 +198,15 @@ def test_vectorized_matches_scalar():
             assert vec[i] == fn(float(r))
 
 
+@pytest.mark.parametrize("key", COEFFICIENTS)
+def test_float_and_one_element_array_give_the_same_bits(key):
+    # a np.float64's ** 2 is libm's pow, an array's an exact square; lambda's
+    # (1 + s)^2 differed by an ulp at r = 733.6561968882239, among others
+    fn = MEASURES[key]
+    for r in np.append(np.geomspace(1e-6, 1e6, 20001), 733.6561968882239):
+        assert fn(float(r)) == fn(np.array([r]))[0], r
+
+
 def _near_one():
     """r = 1 +- 2**-k for k = 1..52, and r = 1 +- 10**-j for j = 3..7."""
     gaps = [2.0 ** -k for k in range(1, 53)] + [10.0 ** -j for j in range(3, 8)]
