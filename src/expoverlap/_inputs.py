@@ -11,7 +11,7 @@ import numpy as np
 def _real(name, value, error=ValueError, high=math.inf, low=0.0):
     """``value`` as a float, if a real number in (low, high); ``float`` skips the ABC check."""
     if type(value) is bool or not isinstance(value, (float, Real)) or not low < value < high:
-        raise error(f"{name} must be a real number in ({low:g}, {high:g}), got {value!r}")
+        raise error(f"{name} must be a real number in ({low!r}, {high!r}), got {value!r}")
     return float(value)
 
 

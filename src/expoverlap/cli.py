@@ -19,12 +19,10 @@ which names the first bad line.
 
 Exit codes: 0 ok, 2 unreadable input, a ratio of sample means outside the
 float range, an unwritable ``--output`` path, standard output that cannot be
-written, or usage error,
-3 insufficient data or bad configuration (a ``simulate`` ratio whose draws
-or sample means leave the float range, overflowing or underflowing to 0, or
-a request too large for memory),
-4 reproduction gate failure,
-5 self-check failure, 6 numerical method did not converge.
+written, or usage error, 3 insufficient data or bad configuration (a
+``simulate`` ratio whose draws or sample means leave the float range,
+overflowing or underflowing to 0, or a request too large for memory),
+4 reproduction gate failure, 5 self-check failure, 6 numerical method did not converge.
 """
 
 from __future__ import annotations
@@ -119,11 +117,13 @@ def _parse_lines(path: str, lines: list[str]) -> np.ndarray:
 class OutputSpec:
     format: str
     destination: str
+    writing: str = "-"  #: the path an OSError names when it names none; '-' is stdout
 
     def write(self, text: str) -> None:
         if self.destination == "-":
             click.echo(text, nl=not text.endswith("\n"))
         else:
+            self.writing = self.destination
             with open(self.destination, "w") as fh:
                 fh.write(text if text.endswith("\n") else text + "\n")
 
@@ -139,15 +139,17 @@ def _csv_text(header, rows) -> str:
 class _Main(click.Group):
     def invoke(self, ctx: click.Context):
         """Run the command; an error listed in EXIT_CODES ends it with its code.
-        An OSError is named by its file, else by ``--output`` unless that is '-'."""
+        An OSError is named by its file, else by ``OutputSpec.writing`` unless '-'."""
         try:
             return super().invoke(ctx)
         except BrokenPipeError:
             raise  # a reader that closed the pipe: click's main ends the run quietly
         except tuple(EXIT_CODES) as exc:
-            name = (exc.filename or ctx.params["output"]) if isinstance(exc, OSError) else "-"
+            name = (exc.filename or ctx.obj.writing) if isinstance(exc, OSError) else "-"
             message = exc if name == "-" else f"{name}: {exc.strerror or exc}"
             click.echo(f"error: {message}", err=True)
+            # drop what a failed flush left in stdout: the exit would fail to flush it, exit 120
+            sys.stdout = io.StringIO()
             sys.exit(next(code for cls, code in EXIT_CODES.items() if isinstance(exc, cls)))
 
 
@@ -268,10 +270,6 @@ def curves(out: OutputSpec, r_min: float, r_max: float, points: int) -> None:
         out.write("\n".join(lines))
 
 
-def _parse_list(text: str, kind: type) -> tuple:
-    return tuple(kind(part) for part in text.split(",") if part.strip())
-
-
 @main.command()
 @click.option("--r", "r_text", default=",".join(map(str, SimConfig.r_values)),
               show_default=True, help="Comma-separated ratio values.")
@@ -291,8 +289,8 @@ def simulate(out: OutputSpec, r_text: str, n_text: str, reps: int, seed: int) ->
     4 when fewer than 90% of the non-excluded cells agree.
     """
     try:
-        r_values = _parse_list(r_text, float)
-        sample_sizes = _parse_list(n_text, int)
+        r_values = tuple(map(float, filter(str.strip, r_text.split(","))))
+        sample_sizes = tuple(map(int, filter(str.strip, n_text.split(","))))
     except ValueError as exc:
         raise click.BadParameter(str(exc), param_hint="--r/--n")
     cfg = SimConfig(r_values=r_values, sample_sizes=sample_sizes, replications=reps, seed=seed)
@@ -304,9 +302,11 @@ def simulate(out: OutputSpec, r_text: str, n_text: str, reps: int, seed: int) ->
     comparison = simulation.compare_to_reference(table)
     theory = simulation.theoretical_vs_empirical(table)
 
+    out.writing = str(out_dir)
     simulation.write_cells_csv(table, comparison, out_dir / "cells.csv")
     simulation.write_figure_csvs(table, out_dir)
     simulation.write_summary_json(table, comparison, theory, out_dir / "summary.json")
+    out.writing = "-"
 
     if comparison is None:
         verdict = "reference comparison skipped (non-reference grid)"

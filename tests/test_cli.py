@@ -534,19 +534,45 @@ def test_simulate_unwritable_result_file_is_input_error(runner, tmp_path):
     assert f"error: {tmp_path / 'cells.csv'}: Is a directory" in res.output
 
 
+#: the environment of a command run as a user runs it: standard output buffered,
+#: so a failed flush leaves bytes that the exit would flush again
+BUFFERED = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+
+
+def _onto_full(*args):
+    with open("/dev/full", "w") as full:
+        return subprocess.run([sys.executable, "-m", "expoverlap", *args], env=BUFFERED,
+                              stdout=full, stderr=subprocess.PIPE, text=True)
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 def test_full_standard_output_is_input_error(constant_files):
-    with open("/dev/full", "w") as full:
-        proc = subprocess.run([sys.executable, "-m", "expoverlap", "estimate", *constant_files],
-                              stdout=full, stderr=subprocess.PIPE, text=True)
+    proc = _onto_full("estimate", *constant_files)
     assert (proc.returncode, proc.stderr) == (2, "error: [Errno 28] No space left on device\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_full_output_file_is_named(runner, constant_files):
+    # the write fails once the file is open, so the error names no file itself
+    res = runner.invoke(main, ["--output", "/dev/full", "estimate", *constant_files])
+    assert (res.exit_code, res.output) == (2, "error: /dev/full: No space left on device\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_simulate_summary_onto_full_standard_output_names_no_file(tmp_path):
+    out = tmp_path / "out"
+    proc = _onto_full("--output", str(out), "simulate", "--r", "0.5", "--n", "10",
+                      "--reps", "10")
+    assert (proc.returncode, proc.stderr) == (2, "error: [Errno 28] No space left on device\n")
+    assert sorted(p.name for p in out.iterdir()) == [
+        "bias_vs_r.csv", "cells.csv", "mse_vs_r.csv", "std_vs_r.csv", "summary.json"]
 
 
 def test_closed_standard_output_pipe_ends_quietly(constant_files):
     # as `| head -c 10` does once it has read enough: the read end is closed
     # before the command writes, so its write fails with EPIPE
     proc = subprocess.Popen([sys.executable, "-m", "expoverlap", "estimate", *constant_files],
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+                            env=BUFFERED, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
     proc.stdout.close()
     assert (proc.wait(), proc.stderr.read()) == (1, "")
     proc.stderr.close()
