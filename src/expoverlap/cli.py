@@ -10,24 +10,24 @@ Subcommands:
 
 Global options choose the output format (table, csv, json) and destination.
 Sample files are UTF-8 text, split into lines by ``str.splitlines`` and
-stripped by ``str.strip``.  A blank line is skipped, and so is a line whose
-first non-blank character is '#', the only place '#' opens a comment.  Every
-other line holds one value in Python ``float`` syntax, positive and finite.
-The text is split once.  Leading blank or '#' lines, then values and empty
-lines, are parsed in one pass; any other file takes the line-by-line loop,
-which names the first bad line.
+stripped by ``str.strip``; a leading byte-order mark is ignored.  A blank
+line is skipped, and so is a line whose first non-blank character is '#', the
+only place '#' opens a comment.  Every other line holds one value in Python
+``float`` syntax, positive and finite.  The text is split once.  Leading blank
+or '#' lines, then values and empty lines, are parsed in one pass; any other
+file takes the line-by-line loop, which names the first bad line.
 
 Exit codes: 0 ok, 2 unreadable input, a ratio of sample means outside the
-float range, an unwritable ``--output`` path, standard output that cannot be
-written, or usage error, 3 insufficient data or bad configuration (a
-``simulate`` ratio whose draws or sample means leave the float range,
-overflowing or underflowing to 0, or a request too large for memory),
-4 reproduction gate failure, 5 self-check failure, 6 numerical method did not converge.
+float range, a file that cannot be written (named: the ``--output`` file or
+the ``simulate`` result file), standard output that cannot be written, or
+usage error, 3 insufficient data or bad configuration (a ``simulate`` ratio
+whose draws or sample means leave the float range, overflowing or underflowing
+to 0, or a request too large for memory), 4 reproduction gate failure, 5
+self-check failure, 6 numerical method did not converge.
 """
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 import math
@@ -44,7 +44,7 @@ from ._inputs import _integer, _real
 from .distributions import NonConvergence
 from .estimation import InsufficientSampleSize, RatioOutOfRange, TwoSample
 from .measures import COEFFICIENTS
-from .simulation import DEFAULT_SEED, ConfigError, SimConfig, _fmt
+from .simulation import DEFAULT_SEED, ConfigError, SimConfig, _csv_text, _fmt, _write
 
 EXIT_INPUT = 2
 EXIT_INSUFFICIENT = 3
@@ -77,7 +77,7 @@ def read_sample_file(path: str) -> np.ndarray:
     """
     try:
         with open(path, encoding="utf-8") as fh:  # an OSError names the path as given
-            lines = fh.read().splitlines()
+            lines = fh.read().removeprefix("\ufeff").splitlines()
     except UnicodeDecodeError as exc:
         raise SampleFileError(f"{path}: not UTF-8 text (byte {exc.start})") from exc
     start = 0
@@ -117,36 +117,26 @@ def _parse_lines(path: str, lines: list[str]) -> np.ndarray:
 class OutputSpec:
     format: str
     destination: str
-    writing: str = "-"  #: the path an OSError names when it names none; '-' is stdout
 
     def write(self, text: str) -> None:
+        text = text if text.endswith("\n") else text + "\n"
         if self.destination == "-":
-            click.echo(text, nl=not text.endswith("\n"))
+            click.echo(text, nl=False)
         else:
-            self.writing = self.destination
-            with open(self.destination, "w") as fh:
-                fh.write(text if text.endswith("\n") else text + "\n")
-
-
-def _csv_text(header, rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
+            _write(self.destination, text)
 
 
 class _Main(click.Group):
     def invoke(self, ctx: click.Context):
         """Run the command; an error listed in EXIT_CODES ends it with its code.
-        An OSError is named by its file, else by ``OutputSpec.writing`` unless '-'."""
+        An OSError is named by the file it read or was writing, where it names one."""
         try:
             return super().invoke(ctx)
         except BrokenPipeError:
             raise  # a reader that closed the pipe: click's main ends the run quietly
         except tuple(EXIT_CODES) as exc:
-            name = (exc.filename or ctx.obj.writing) if isinstance(exc, OSError) else "-"
-            message = exc if name == "-" else f"{name}: {exc.strerror or exc}"
+            name = isinstance(exc, OSError) and exc.filename
+            message = f"{name}: {exc.strerror or exc}" if name else exc
             click.echo(f"error: {message}", err=True)
             # drop what a failed flush left in stdout: the exit would fail to flush it, exit 120
             sys.stdout = io.StringIO()
@@ -302,11 +292,9 @@ def simulate(out: OutputSpec, r_text: str, n_text: str, reps: int, seed: int) ->
     comparison = simulation.compare_to_reference(table)
     theory = simulation.theoretical_vs_empirical(table)
 
-    out.writing = str(out_dir)
     simulation.write_cells_csv(table, comparison, out_dir / "cells.csv")
     simulation.write_figure_csvs(table, out_dir)
     simulation.write_summary_json(table, comparison, theory, out_dir / "summary.json")
-    out.writing = "-"
 
     if comparison is None:
         verdict = "reference comparison skipped (non-reference grid)"

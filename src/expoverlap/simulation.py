@@ -26,6 +26,7 @@ version lands closer.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 from dataclasses import asdict, dataclass, field
@@ -340,52 +341,59 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
+def _csv_text(header, rows) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+def _write(path: str | Path, text: str) -> Path:
+    """Write text to path; a nameless OSError (failed write or close) names it as given."""
+    try:
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        if exc.filename is None:
+            exc.filename = path
+        raise
+    return Path(path)
+
+
 def write_cells_csv(table: SimulationTable, comparison: ComparisonReport | None,
                     path: str | Path) -> Path:
     """One row per cell x coefficient, full precision, fixed column order; a
     graded cell passes when each of its non-excluded entries does."""
     entries = {(e.r, e.n, e.coefficient, e.metric): e
                for e in (comparison.entries if comparison else ())}
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CELLS_CSV_COLUMNS)
-        for cell in table.cells:
-            for coeff in COEFFICIENTS:
-                s = cell.stats[coeff]
-                bias, mse = (entries.get((cell.r, cell.n, coeff, m)) for m in ("bias", "mse"))
-                grade = ["", "", ""] if bias is None else [
-                    _fmt(bias.reference), _fmt(mse.reference),
-                    "true" if all(e.passed for e in (bias, mse) if not e.excluded) else "false"]
-                writer.writerow([
-                    _fmt(cell.r), cell.n, coeff,
-                    _fmt(s.bias), _fmt(s.mse), _fmt(s.ratio_bias_sigma), _fmt(s.mc_se), *grade,
-                ])
-    return path
+    rows = []
+    for cell in table.cells:
+        for coeff in COEFFICIENTS:
+            s = cell.stats[coeff]
+            bias, mse = (entries.get((cell.r, cell.n, coeff, m)) for m in ("bias", "mse"))
+            grade = ["", "", ""] if bias is None else [
+                _fmt(bias.reference), _fmt(mse.reference),
+                "true" if all(e.passed for e in (bias, mse) if not e.excluded) else "false"]
+            rows.append([_fmt(cell.r), cell.n, coeff, _fmt(s.bias), _fmt(s.mse),
+                         _fmt(s.ratio_bias_sigma), _fmt(s.mc_se), *grade])
+    return _write(path, _csv_text(CELLS_CSV_COLUMNS, rows))
 
 
 def write_figure_csvs(table: SimulationTable, out_dir: str | Path) -> list[Path]:
-    """Plot-ready series: bias, standard deviation and MSE versus r, per n."""
-    out_dir = Path(out_dir)
+    """Plot-ready series versus r, per n, of each CellStats field FIGURE_FILES names."""
     paths = []
     for metric, filename in FIGURE_FILES.items():
-        path = out_dir / filename
-        with path.open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(("r", "n", "coefficient", metric))
-            for cell in table.cells:
-                for coeff in COEFFICIENTS:
-                    s = cell.stats[coeff]
-                    value = {"bias": s.bias, "std": s.std, "mse": s.mse}[metric]
-                    writer.writerow([_fmt(cell.r), cell.n, coeff, _fmt(value)])
-        paths.append(path)
+        rows = ([_fmt(cell.r), cell.n, coeff, _fmt(getattr(cell.stats[coeff], metric))]
+                for cell in table.cells for coeff in COEFFICIENTS)
+        paths.append(_write(Path(out_dir) / filename,
+                            _csv_text(("r", "n", "coefficient", metric), rows)))
     return paths
 
 
 def write_summary_json(table: SimulationTable, comparison: ComparisonReport | None,
                        theory: TheoryComparisonReport | None,
                        path: str | Path) -> Path:
-    path = Path(path)
     payload = {
         "config": table.config.to_dict(),
         "cells": [
@@ -396,5 +404,4 @@ def write_summary_json(table: SimulationTable, comparison: ComparisonReport | No
         "reference_comparison": asdict(comparison) if comparison else None,
         "theory_comparison": asdict(theory) if theory else None,
     }
-    path.write_text(json.dumps(payload, indent=2) + "\n")
-    return path
+    return _write(path, json.dumps(payload, indent=2) + "\n")

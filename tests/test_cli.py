@@ -1,5 +1,4 @@
 import csv
-import errno
 import json
 import math
 import os
@@ -14,7 +13,7 @@ from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from expoverlap import checks, confidence, distributions, measures, simulation
+from expoverlap import checks, confidence, distributions, measures
 from expoverlap.cli import SampleFileError, main, read_sample_file
 from expoverlap.confidence import ConfidenceInterval
 from expoverlap.distributions import NonConvergence, SeededStream, sample_exponential
@@ -578,15 +577,17 @@ def test_closed_standard_output_pipe_ends_quietly(constant_files):
     proc.stderr.close()
 
 
-def test_nameless_write_error_names_the_output_directory(runner, tmp_path, monkeypatch):
-    def disk_full(*args):
-        raise OSError(errno.ENOSPC, "No space left on device")
-
-    monkeypatch.setattr(simulation, "write_cells_csv", disk_full)
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("name", ["cells.csv", "bias_vs_r.csv", "std_vs_r.csv",
+                                  "mse_vs_r.csv", "summary.json"])
+def test_full_simulate_result_file_is_named(runner, tmp_path, name):
+    # the write fails once the file is open, so the error names no file itself
     out = tmp_path / "out"
+    out.mkdir()
+    (out / name).symlink_to("/dev/full")
     res = runner.invoke(main, ["--output", str(out), "simulate", "--r", "0.5",
                                "--n", "10", "--reps", "10"])
-    assert (res.exit_code, res.output) == (2, f"error: {out}: No space left on device\n")
+    assert (res.exit_code, res.output) == (2, f"error: {out / name}: No space left on device\n")
 
 
 def test_missing_sample_file_is_named_as_given(runner, tmp_path, monkeypatch, constant_files):
@@ -610,14 +611,24 @@ def test_check_passes_clean_build(runner):
         "quantile_accuracy": 105, "distribution_laws": 4}
 
 
-def test_check_table_honours_output(runner, tmp_path):
-    dest = tmp_path / "check.txt"
-    res = runner.invoke(main, ["--output", str(dest), "check", "--seed", "7"])
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+@pytest.mark.parametrize("command", ["estimate", "ci", "curves", "check"])
+def test_check_table_honours_output(runner, tmp_path, command, fmt):
+    # the --output file holds the bytes standard output gets, CSV's CRLF line ends too
+    files = [_write_sample(tmp_path / f"{i}.txt", values)
+             for i, values in enumerate(([0.4, 1.7, 0.9, 2.2, 0.3], [1.1, 0.6, 2.8, 1.9, 1.4]))]
+    args = {"estimate": ["estimate", *files], "ci": ["ci", *files],
+            "curves": ["curves", "--r-min", "0.5", "--r-max", "2", "--points", "7"],
+            "check": ["check", "--seed", "7"]}[command]
+    dest = tmp_path / "out.txt"
+    res = runner.invoke(main, ["--format", fmt, "--output", str(dest), *args])
     assert res.exit_code == 0, res.output
     assert res.output == ""
-    stdout = runner.invoke(main, ["check", "--seed", "7"]).output
-    assert dest.read_text() == stdout
-    assert stdout.count(" PASS  (") == 5
+    stdout = runner.invoke(main, ["--format", fmt, *args])
+    assert stdout.exit_code == 0, stdout.output
+    assert dest.read_bytes() == stdout.stdout_bytes
+    if command == "check" and fmt != "json":
+        assert stdout.output.count(" PASS  (") == 5
 
 
 @pytest.mark.parametrize("target, patched, gates", [

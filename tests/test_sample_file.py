@@ -6,6 +6,7 @@ The property test holds the whole reader to the frozen copy: the same bits,
 or a SampleFileError with the same message.
 """
 
+import codecs
 import math
 from pathlib import Path
 
@@ -139,3 +140,26 @@ def test_line_with_more_than_one_value_is_input_error(tmp_path, bad):
     res = CliRunner().invoke(main, ["estimate", str(good), str(path)])
     assert res.exit_code == 2
     assert f"error: {path}:3: not a number: {bad!r}" in res.output
+
+
+@pytest.mark.parametrize("header", [True, False], ids=["before a header", "before a value"])
+def test_leading_byte_order_mark_is_ignored(tmp_path, monkeypatch, header):
+    def line_path(path, text):
+        raise AssertionError(f"{path} reached the line-by-line path")
+
+    text, _ = _bench_text()
+    if not header:
+        text = text.split("\n", 1)[1]
+    plain, bom = tmp_path / "plain.txt", tmp_path / "bom.txt"
+    plain.write_bytes(text.encode())
+    bom.write_bytes(codecs.BOM_UTF8 + text.encode())
+    monkeypatch.setattr(cli, "_parse_lines", line_path)
+    assert read_sample_file(str(bom)).tobytes() == read_sample_file(str(plain)).tobytes()
+
+
+def test_byte_order_mark_after_line_one_is_input_error(tmp_path):
+    path = tmp_path / "bom.txt"
+    path.write_bytes(codecs.BOM_UTF8 + "1.0\n\ufeff2.0\n".encode())
+    with pytest.raises(SampleFileError) as err:
+        read_sample_file(str(path))
+    assert str(err.value) == f"{path}:2: not a number: '\\ufeff2.0'"
