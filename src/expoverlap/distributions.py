@@ -186,12 +186,13 @@ def _log_front(a: float, b: float, x):
 
 
 def regularized_incomplete_beta(a: float, b: float, x):
-    """I_x(a, b) to absolute accuracy ~1e-12, and relative ~1e-12 below a/(a+b).
+    """I_x(a, b), tested for a, b >= 1/2 (every F law); below, NonConvergence may end it.
 
-    The front factor x^a (1-x)^b / B(a, b) times the continued fraction of
-    _beta_cf, switching through I_x(a, b) = 1 - I_{1-x}(b, a) above the mode
-    a/(a+b).  Vectorized over x; a, b are scalars.  A scalar x runs the same
-    continued fraction on Python floats, with the bits of a one-element array.
+    Absolute accuracy ~1e-12, relative ~1e-12 below a/(a+b), except for b << a near a
+    mode close to 1 (1.2e-10 at a = 2.6e6, b = 1.48).  The front factor x^a (1-x)^b
+    / B(a, b) times _beta_cf's fraction, switching through I_x(a, b) = 1 - I_{1-x}(b, a)
+    above the mode a/(a+b).  Vectorized over x; a, b are scalars.  A scalar x runs the
+    same continued fraction on Python floats, with the bits of a one-element array.
     """
     a, b, arr = _real("a", a), _real("b", b), _points("x", x)
     if not np.all((arr >= 0) & (arr <= 1)):
@@ -229,12 +230,6 @@ def f_cdf(d1: int, d2: int, x):
     np.divide(y, y + d2, out=y, where=~inf)
     y[inf] = 1.0
     return regularized_incomplete_beta(d1 / 2.0, d2 / 2.0, y)
-
-
-def _f_density(d1: int, d2: int, x: float) -> float:
-    """The F(d1, d2) density at 0 < x < inf from the front factor at y = d1 x/(d1 x + d2)."""
-    y = d1 * x / (d1 * x + d2)
-    return math.exp(float(_log_front(d1 / 2.0, d2 / 2.0, y))) / x
 
 
 #: Largest step in log x while the quantile is not yet bracketed on that side.
@@ -275,7 +270,9 @@ def f_quantile(d1: int, d2: int, prob: float) -> float:
         if abs(cdf - prob) <= 1e-12 * prob:
             break
         lo, hi = (lo, u) if cdf > prob else (u, hi)
-        slope = x * _f_density(d1, d2, x) / cdf if cdf > 0 and x < math.inf else 0.0
+        slope = 0.0  # x f(x) / F: the front factor at y = d1 x/(d1 x + d2), over F
+        if cdf > 0 and x < math.inf:
+            slope = math.exp(float(_log_front(d1 / 2.0, d2 / 2.0, d1 * x / (d1 * x + d2)))) / cdf
         step = -math.log(cdf / prob) / slope if slope > 0 else math.copysign(math.inf, prob - cdf)
         nxt = u + min(max(step, -_LOG_STEP_MAX), _LOG_STEP_MAX)
         if not (lo < nxt < hi):

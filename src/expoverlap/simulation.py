@@ -261,7 +261,7 @@ def compare_to_reference(table: SimulationTable) -> ComparisonReport | None:
 
     graded = [e for e in entries if not e.excluded]
     n_passed = sum(e.passed for e in graded)
-    fraction = n_passed / len(graded) if graded else 0.0
+    fraction = n_passed / len(graded)
     return ComparisonReport(entries=entries, n_compared=len(graded), n_passed=n_passed,
                             n_excluded=len(entries) - len(graded), pass_fraction=fraction,
                             overall_pass=fraction >= PASS_FRACTION_REQUIRED)
@@ -285,8 +285,8 @@ def theoretical_vs_empirical(table: SimulationTable) -> TheoryComparisonReport:
 
     For each coefficient the report records the first-order variance formula,
     the published bias formula, the Taylor bias 0.5 * g''(R) * Var(R*) and
-    which bias version is closer to the empirical bias ("formula", "oracle"
-    or "tie").
+    which bias version is closer to the empirical bias ("formula", "oracle",
+    or "tie" where neither distance is smaller, a NaN included).
     """
     entries: list[dict] = []
     closer_counts: dict[str, dict[str, int]] = {
@@ -301,12 +301,8 @@ def theoretical_vs_empirical(table: SimulationTable) -> TheoryComparisonReport:
                            if stats.variance > 0 else math.nan)
             d_formula = abs(biases[key] - stats.bias)
             d_oracle = abs(oracle - stats.bias)
-            if math.isnan(d_formula) or math.isnan(d_oracle):
-                closer = "tie"
-            elif math.isclose(d_formula, d_oracle, rel_tol=1e-9, abs_tol=1e-15):
-                closer = "tie"
-            else:
-                closer = "formula" if d_formula < d_oracle else "oracle"
+            closer = ("formula" if d_formula < d_oracle else "oracle" if d_oracle < d_formula
+                      else "tie")
             closer_counts[key][closer] += 1
             entries.append({
                 "r": cell.r, "n1": cell.n, "n2": cell.n, "coefficient": key,

@@ -729,3 +729,34 @@ def test_request_too_large_for_memory_exits_3(runner, tmp_path, args):
     res = runner.invoke(main, ["--output", str(tmp_path / "out"), *args])
     assert res.exit_code == 3, res.output
     assert res.output.startswith("error: Unable to allocate"), res.output
+
+
+# --- runtime dependencies -------------------------------------------------------------
+
+#: run each command line of argv[1] through main, then report the exit codes
+#: and which test-only packages the process imported
+_COMMANDS_AND_IMPORTS = """
+import json, sys
+from expoverlap.cli import main
+codes = []
+for args in json.loads(sys.argv[1]):
+    try:
+        main(args)
+    except SystemExit as exc:
+        codes.append(exc.code)
+test_only = {"scipy", "mpmath", "hypothesis", "pytest"}
+sys.stderr.write(json.dumps({"codes": codes, "imported": sorted(test_only & set(sys.modules))}))
+"""
+
+
+def test_commands_import_no_test_only_package(tmp_path, constant_files):
+    # pyproject.toml declares numpy and click alone: no command may need the test extras
+    out = str(tmp_path / "out")
+    commands = [["--output", f"{out}.json", "estimate", *constant_files],
+                ["--output", f"{out}.csv", "ci", *constant_files],
+                ["--output", f"{out}.txt", "curves", "--r-min", "0.5", "--r-max", "2"],
+                ["--output", f"{out}.check", "check"],
+                ["--output", out, "simulate", "--reps", "10"]]
+    proc = subprocess.run([sys.executable, "-c", _COMMANDS_AND_IMPORTS, json.dumps(commands)],
+                          capture_output=True, text=True)
+    assert json.loads(proc.stderr) == {"codes": [0] * 5, "imported": []}, proc.stderr

@@ -354,6 +354,16 @@ def test_beta_scalar_is_a_one_element_array(a, b, x, near_mode, offset):
     assert got == regularized_incomplete_beta(a, b, np.array([x]))[0]
 
 
+def test_beta_converges_near_the_mode_on_the_tested_domain():
+    # the documented domain a, b >= 1/2 holds every F law; below it (such as
+    # a = 0.0512, b = 9529) the fraction may exhaust its budget near the mode
+    rng = np.random.default_rng(708)
+    for a, b in np.exp(rng.uniform(math.log(0.5), math.log(3e6), size=(3_000, 2))):
+        x0, y0 = a / (a + b), b / (a + b)
+        for x in (x0 * (1.0 - 1e-3), x0, min(x0 * (1.0 + 1e-3), 1.0), 0.5 * x0, 1.0 - 0.5 * y0):
+            assert 0.0 <= regularized_incomplete_beta(a, b, float(x)) <= 1.0, (a, b, x)
+
+
 # --- F distribution -----------------------------------------------------------
 
 def test_f_cdf_edges_and_symmetry():

@@ -7,6 +7,7 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
+import scipy.stats
 
 from expoverlap.distributions import SeededStream, sample_exponential
 from expoverlap.estimation import InsufficientSampleSize
@@ -130,6 +131,18 @@ def test_block_means_match_per_replication_draws(n, reps):
         a = sample_exponential(SeededStream(29, int(ids[rep, 0])), 0.5, n).mean()
         b = sample_exponential(SeededStream(29, int(ids[rep, 1])), 1.0, n).mean()
         assert m1[rep] == a and m2[rep] == b
+
+
+@pytest.mark.parametrize("n", [3, 500])
+def test_draw_means_follow_their_sampling_laws(n):
+    # the mean of n draws with mean theta is Gamma(n, theta/n), and m1/m2/r is
+    # F(2n, 2n): a mean over n - 1 draws, a mis-scaled theta or two populations
+    # on the same streams fail one of the three KS tests
+    m1, m2 = _draw_means(SimConfig(replications=10_000, seed=2017), 0.5, n)
+    for means, theta in ((m1, 0.5), (m2, 1.0)):
+        law = scipy.stats.gamma(n, scale=theta / n)
+        assert scipy.stats.kstest(means, law.cdf).pvalue >= 1e-6
+    assert scipy.stats.kstest(m1 / m2 / 0.5, scipy.stats.f(2 * n, 2 * n).cdf).pvalue >= 1e-6
 
 
 def test_run_cell_requires_n2_above_two():
