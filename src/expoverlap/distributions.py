@@ -15,7 +15,7 @@ it, and adds half an ulp to the Generator's 53-bit doubles, so a stream is
 still a value.  The Philox uniforms are the same on every platform;
 ``sample_exponential`` maps them through numpy's SIMD ``log``, so its
 variates are bit-identical on the same numpy build and CPU features, and a
-block of streams mapped in place gives each row the bits of its stream alone.
+list of streams mapped in place gives each row the bits of its stream alone.
 """
 
 from __future__ import annotations
@@ -36,12 +36,15 @@ class NonConvergence(RuntimeError):
 #: Per thread: a Philox generator, a Generator on it and the state dict it is re-keyed from.
 _PER_THREAD = threading.local()
 
+#: 2^-54 as a 0-d array, which numpy adds without converting a Python float on each call.
+_HALF_ULP = np.array(2.0 ** -54)
+
 
 def _uniforms(generator: np.random.Generator, n: int) -> np.ndarray:
     """((w >> 11) + 0.5) * 2^-53 of the next n words w, as ``random``'s k * 2^-53 (k = w >> 11)
     plus 2^-54, which rounds as k + 0.5 does: 1.0 for w >= 2^64 - 2^11."""
     u = generator.random(n)
-    u += 2.0 ** -54
+    u += _HALF_ULP
     return u
 
 
@@ -59,22 +62,12 @@ class SeededStream:
     stream_id: int = 0
 
     def __post_init__(self) -> None:
+        seed, i = self.seed, self.stream_id  # hot path: once per replication and population
+        if type(seed) is type(i) is int and 0 <= seed < 2 ** 64 and 0 <= i < 2 ** 64:
+            return
         for name in ("seed", "stream_id"):
             object.__setattr__(self, name, _integer(name, getattr(self, name), 0, high=2 ** 64,
                                                     rule="be an unsigned 64-bit integer"))
-
-    @classmethod
-    def block(cls, seed: int, stream_ids) -> list[SeededStream]:
-        """[SeededStream(seed, i) for i in stream_ids], checking the seed once and the
-        ids only when they are not a 1-d uint64 array, whose dtype keeps them in range."""
-        seed = cls(seed).seed
-        if getattr(stream_ids, "dtype", None) != np.uint64 or np.ndim(stream_ids) != 1:
-            return [cls(seed, i) for i in stream_ids]
-        new, streams = object.__new__, []
-        for i in stream_ids.tolist():
-            streams.append(s := new(cls))
-            s.__dict__["seed"], s.__dict__["stream_id"] = seed, i
-        return streams
 
     def uniforms(self, n: int) -> np.ndarray:
         """n uniform variates on (0, 1]: ((raw >> 11) + 0.5) * 2^-53 of the raw
@@ -87,7 +80,7 @@ class SeededStream:
                 "bit_generator": "Philox", "buffer": [0] * 4, "buffer_pos": 4,
                 "has_uint32": 0, "uinteger": 0, "state": {"counter": [0] * 4, "key": None}})
         philox, generator, state = keyed
-        state["state"]["key"] = [self.seed, self.stream_id]
+        state["state"]["key"] = (self.seed, self.stream_id)
         philox.state = state
         return _uniforms(generator, n)
 

@@ -130,7 +130,9 @@ def overlap_by_quadrature(rate1: float, rate2: float, which: str) -> float:
     2^k / rate, so the integrals run over [0, x_max], x_max = 50 / min(rate1,
     rate2), on panels cut at 2^k / rate for k = -2 ... 6 and both rates, and for
     delta at the kink of min(f1, f2) where the densities cross.  The neglected
-    tail of every integrand is bounded by exp(-50).
+    tail of every integrand is bounded by exp(-50).  Both rates are first scaled,
+    exactly, by the power of two that puts the larger in [0.5, 1), so the value
+    is bitwise the same under any common power-of-two scale of the rates.
 
     Args:
         rate1: hazard rate of the first population.
@@ -138,12 +140,16 @@ def overlap_by_quadrature(rate1: float, rate2: float, which: str) -> float:
         which: one of COEFFICIENTS.
 
     Raises:
-        ValueError: unknown coefficient key, or a rate that is not strictly
-            positive and finite.
+        ValueError: unknown coefficient key, a rate that is not strictly
+            positive and finite, or a rate ratio outside 2^-1000 ... 2^1000.
     """
     if which not in COEFFICIENTS:
         raise ValueError(f"unknown coefficient {which!r}, expected one of {COEFFICIENTS}")
     r1, r2 = _real("rate1", rate1), _real("rate2", rate2)
+    e = math.frexp(max(r1, r2))[1]
+    r1, r2 = math.ldexp(r1, -e), math.ldexp(r2, -e)
+    if min(r1, r2) < 2.0 ** -1000 * max(r1, r2):  # keeps both rates normal, 50 / rate finite
+        raise ValueError(f"rate1 / rate2 = {rate1!r} / {rate2!r} is outside 2^-1000 ... 2^1000")
     x_max = 50.0 / min(r1, r2)
     kinks = [math.log(r1 / r2) / (r1 - r2)] if which == "delta" and r1 != r2 else []
     scales = 2.0 ** np.arange(-2, 7)

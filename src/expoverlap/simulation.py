@@ -11,10 +11,10 @@ Determinism: streams are keyed by (seed, r, n, replication, population), so
 results are bit-identical across runs, thread counts and grid compositions,
 and ``run_cell`` reproduces exactly the cell that ``run_study`` would
 produce.  A cell's stream ids are one numpy expression.  Its samples are
-drawn in blocks of about _BLOCK_UNIFORMS variates: ``SeededStream.block``
-keys a block's streams from their uint64 ids, each stream draws one
-replication's row with one ``uniforms`` call, and rows are reduced
-row-wise, bitwise as if drawn one replication at a time.
+drawn in blocks of about _BLOCK_UNIFORMS variates: each replication's
+``SeededStream`` is keyed from its id and draws that replication's row with
+one ``uniforms`` call, and rows are reduced row-wise, bitwise as if drawn
+one replication at a time.
 
 ``compare_to_reference`` grades a default-grid table against the embedded
 reference dataset at tolerance max(0.01, 3 * mc_se) per cell;
@@ -151,7 +151,7 @@ def _draw_means(cfg: SimConfig, r: float, n: int) -> tuple[np.ndarray, np.ndarra
     means = np.empty((2, cfg.replications))
     for pop, theta in enumerate((r, 1.0)):
         for start in range(0, cfg.replications, rows):
-            streams = SeededStream.block(cfg.seed, ids[start:start + rows, pop])
+            streams = [SeededStream(cfg.seed, i) for i in ids[start:start + rows, pop].tolist()]
             means[pop, start:start + rows] = sample_exponential(streams, theta, n).mean(axis=1)
     return means[0], means[1]
 

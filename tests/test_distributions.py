@@ -122,26 +122,21 @@ def test_first_draws_are_pinned():
     u = SeededStream(123456789, 2 ** 63 + 5).uniforms(4)
     assert [hex(b) for b in u.view(np.uint64).tolist()] == [
         "0x3fdd65ba45600b31", "0x3fe9f273be044822", "0x3f9751bd0f5187b0", "0x3fe3f66dd04c30d8"]
-    ids = np.array([7, 2 ** 64 - 1], dtype=np.uint64)
-    row = sample_exponential(SeededStream.block(123456789, ids), 0.5, 4)[1]
+    row = sample_exponential([SeededStream(123456789, i) for i in (7, 2 ** 64 - 1)], 0.5, 4)[1]
     assert [hex(b) for b in row.view(np.uint64).tolist()] == [
         "0x3fca3ae0fd9f2fa5", "0x3fdbf4ee755ba371", "0x3fb021447d1927c5", "0x3fda128eb17b2737"]
 
 
-def test_stream_block_matches_single_streams():
-    ids = [0, 2 ** 63, 2 ** 64 - 1]
-    block = SeededStream.block(9, np.array(ids, dtype=np.uint64))
-    assert block == [SeededStream(9, i) for i in ids]
-    assert all(type(s.stream_id) is int for s in block)
-    assert SeededStream.block(9, ids) == block
-    for seed, bad in ((-1, np.array(ids, dtype=np.uint64)), (2 ** 64, ids),
-                      (9, [0, -1]), (9, [2 ** 64]), (9, np.array([3, -1])),
-                      (9, np.zeros((2, 2), dtype=np.uint64))):
-        with pytest.raises(ValueError, match="unsigned 64-bit integer") as single:
-            [SeededStream(seed, i) for i in bad]
-        with pytest.raises(ValueError) as bulk:
-            SeededStream.block(seed, bad)
-        assert str(bulk.value) == str(single.value)
+@pytest.mark.parametrize("v", [5, np.uint64(5), np.int64(5), 2 ** 64 - 1, np.uint64(2 ** 64 - 1)],
+                         ids=repr)
+def test_stream_keeps_integer_kinds_as_plain_ints(v):
+    # at either field, a numpy integer is held as the int it equals
+    for stream, plain in ((SeededStream(9, v), SeededStream(9, int(v))),
+                          (SeededStream(v, 9), SeededStream(int(v), 9))):
+        assert type(stream.seed) is int and type(stream.stream_id) is int
+        assert stream == plain and hash(stream) == hash(plain)
+        assert np.array_equal(stream.uniforms(9).view(np.uint64),
+                              plain.uniforms(9).view(np.uint64))
 
 
 def test_uniforms_open_interval():
@@ -150,10 +145,10 @@ def test_uniforms_open_interval():
 
 
 def test_stream_validation():
-    with pytest.raises(ValueError):
-        SeededStream(-1, 0)
-    with pytest.raises(ValueError):
-        SeededStream(0, 2 ** 64)
+    for bad in (True, 5.0, -1, 2 ** 64, np.int64(-1)):
+        for args in ((bad, 0), (0, bad)):
+            with pytest.raises(ValueError, match="unsigned 64-bit integer"):
+                SeededStream(*args)
     with pytest.raises(ValueError):
         sample_exponential(SeededStream(1, 1), 0.0, 3)
     with pytest.raises(ValueError):

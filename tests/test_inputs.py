@@ -80,8 +80,6 @@ SITES = {
                           lambda k: SeededStream(k, 3).uniforms(2)),
     "SeededStream.stream_id": ("seed", None, 0, ValueError,
                                lambda k: SeededStream(3, k).uniforms(2)),
-    "SeededStream.block": ("seed", None, 0, ValueError,
-                           lambda k: SeededStream.block(k, [0, 1])),
     "SeededStream.uniforms": ("integer", st.integers(1, 40), 1, ValueError,
                               lambda n: SeededStream(1, 2).uniforms(n)),
     "sample_exponential.mean_theta": ("real", POSITIVE, None, ValueError,

@@ -86,11 +86,17 @@ def test_ratio_validation(bad):
             fn(bad)
 
 
-@pytest.mark.parametrize("bad", [0.0, -2.0, math.inf, math.nan])
+# a bad rate, tried as each rate beside 1.0, or a pair of rates whose ratio is
+# beyond 2^-1000 ... 2^1000, tried in both orders
+@pytest.mark.parametrize("bad", [0.0, -2.0, math.inf, math.nan,
+                                 pytest.param((5e-324, 1.0), id="5e-324:1"),
+                                 pytest.param((1e-300, 1e300), id="1e-300:1e300")])
 def test_oracle_rate_validation(bad):
-    for rates in ((bad, 1.0), (1.0, bad)):
-        with pytest.raises(ValueError):
+    pairs = (bad, bad[::-1]) if isinstance(bad, tuple) else ((bad, 1.0), (1.0, bad))
+    for rates in pairs:
+        with pytest.raises(ValueError) as error:
             overlap_by_quadrature(*rates, "delta")
+        assert not isinstance(bad, tuple) or all(repr(x) in str(error.value) for x in bad)
 
 
 def test_symmetric_kl_matches_quadrature():
@@ -116,10 +122,17 @@ def test_oracle_matches_closed_forms(r):
 
 
 def test_oracle_scale_invariance():
-    base = [overlap_by_quadrature(0.5, 1.0, k) for k in COEFFICIENTS]
-    for c in (0.1, 10.0):
-        scaled = [overlap_by_quadrature(0.5 * c, 1.0 * c, k) for k in COEFFICIENTS]
-        assert all(abs(a - b) <= 1e-12 for a, b in zip(base, scaled))
+    # a common power-of-two scale of the rates leaves every bit; any other
+    # scale, down to 1e-200 and up to 1e200, moves no value by more than 1e-12
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for ratio in (0.05, 0.5, 2.0, 20.0):
+            base = [overlap_by_quadrature(ratio, 1.0, k) for k in COEFFICIENTS]
+            for c in (2.0 ** -1000, 2.0 ** 1000):
+                assert [overlap_by_quadrature(ratio * c, c, k) for k in COEFFICIENTS] == base
+            for c in (1e-200, 0.1, 10.0, 1e200):
+                scaled = [overlap_by_quadrature(ratio * c, c, k) for k in COEFFICIENTS]
+                assert all(abs(a - b) <= 1e-12 for a, b in zip(base, scaled)), (ratio, c)
 
 
 def test_oracle_mean_parameterization():
