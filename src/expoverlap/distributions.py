@@ -21,6 +21,7 @@ list of streams mapped in place gives each row the bits of its stream alone.
 from __future__ import annotations
 
 import math
+import sys
 import threading
 from dataclasses import dataclass
 
@@ -117,10 +118,11 @@ def _beta_cf(a: float, b: float, x, y, lam):
     a reflected call can form it from the exact original x, not from the
     rounded 1 - x; no step then cancels near the mode.  Runs
     until every convergent moves by at most _BETA_EPS relative; near the mode
-    that takes ~(a+b)^(1/3) terms (544 at a = b = 1e6), capped at 500 + 4 sqrt(a+b).
+    that takes ~4.3 (a+b)^(1/3) terms (544 at a = b = 1e6, 53,757 at 1e12), capped
+    at 500 + 4 sqrt(a+b) and at 10^5, which ends a call near the mode past a+b ~ 1e13.
     """
     scalar = isinstance(x, float)
-    max_iter = 500 + int(4.0 * math.sqrt(a + b))
+    max_iter = min(500 + int(4.0 * math.sqrt(a + b)), 100_000)
     c, c0, c1, yp1 = 1.0 + lam, b / a, 1.0 + 1.0 / a, y + 1.0
     p, s = 1.0, a + 1.0
     an, bn, anp1, bnp1, r = 0.0, 1.0, 1.0, c / c1, c1 / c
@@ -179,7 +181,8 @@ def _log_front(a: float, b: float, x):
 
 
 def regularized_incomplete_beta(a: float, b: float, x):
-    """I_x(a, b), tested for a, b >= 1/2 (every F law); below, NonConvergence may end it.
+    """I_x(a, b), tested for a, b >= 1/2 (every F law) and a + b <= 2e12; outside,
+    NonConvergence may end it (past ~1e13 near the mode, the 10^5-term budget does).
 
     Absolute accuracy ~1e-12, relative ~1e-12 below a/(a+b), except for b << a near a
     mode close to 1 (1.2e-10 at a = 2.6e6, b = 1.48).  The front factor x^a (1-x)^b
@@ -213,15 +216,13 @@ def regularized_incomplete_beta(a: float, b: float, x):
 
 def f_cdf(d1: int, d2: int, x):
     """CDF of the F(d1, d2) distribution: I_y(d1/2, d2/2), y = d1 x/(d1 x + d2),
-    and y = 1 at x = inf."""
+    and y = 1 where d1 x is past the float range, x = inf included."""
     d1, d2, arr = _integer("d1", d1, 1), _integer("d2", d2, 1), _points("x", x)
     if not np.all(arr >= 0):
         raise ValueError("x must be nonnegative")
-    # in place, to allocate no more than the plain quotient d1 x / (d1 x + d2)
-    y = np.asarray(d1 * arr)
-    inf = np.isinf(y)
-    np.divide(y, y + d2, out=y, where=~inf)
-    y[inf] = 1.0
+    with np.errstate(over="ignore"):  # d1 x past the range reads as max, and max/(max + d2) is 1
+        y = np.minimum(d1 * arr, sys.float_info.max)
+    y /= y + d2
     return regularized_incomplete_beta(d1 / 2.0, d2 / 2.0, y)
 
 
@@ -292,10 +293,12 @@ def erlang_cdf(shape: int, scale: float, x):
     law checks need.  Computed as P(k, y) = 1 - sum_{j<k} t_j with
     t_j = exp(-y) y^j / j!, each term built from a running log
     log t_j = log t_{j-1} + log y - log j, so exp(-y) never underflows.
+    A point whose x/scale is past the float range, x = inf included, gives 1.
     Vectorized over x; a 0-d x gives a np.float64 with the bits of an array element.
     """
     shape, scale = _integer("shape", shape, 1), _real("scale", scale)
-    y = np.maximum(_points("x", x) / scale, 0.0)
+    with np.errstate(over="ignore"):  # y = max gives exp(-max) = 0 in every term
+        y = np.clip(_points("x", x) / scale, 0.0, sys.float_info.max)
     with np.errstate(divide="ignore"):
         log_y = np.log(y)
     log_term = -y

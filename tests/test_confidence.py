@@ -66,6 +66,11 @@ def test_ratio_ci_scales_linearly():
     assert doubled.upper == 2.0 * base.upper
 
 
+def test_interval_rejects_lower_above_upper():
+    with pytest.raises(ValueError, match="exceeds upper"):
+        ConfidenceInterval(target="ratio", level=0.9, lower=2.0, upper=1.0)
+
+
 def test_ratio_ci_level_validation():
     with pytest.raises(ValueError):
         ratio_ci(_estimates(1.0), level=1.5)

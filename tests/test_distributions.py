@@ -221,6 +221,12 @@ def test_beta_validation():
             regularized_incomplete_beta(1.0, 1.0, x)
 
 
+def test_beta_budget_is_capped_past_the_tested_domain():
+    # near the mode the fraction needs ~4.3 (a+b)^(1/3) terms; 10^5 of them end the call
+    with pytest.raises(distributions.NonConvergence, match="no convergence in 100000"):
+        regularized_incomplete_beta(1e30, 1e30, 0.5)
+
+
 def test_beta_and_f_cdf_at_negative_zero():
     # -0.0 is a valid x, and I and F there are +0.0, sign bit clear
     for got in (regularized_incomplete_beta(2.0, 3.0, -0.0), f_cdf(4, 6, -0.0),
@@ -369,10 +375,12 @@ def test_f_cdf_edges_and_symmetry():
 
 @pytest.mark.parametrize("d1,d2", [(2, 2), (1, 40), (300, 7)])
 def test_f_cdf_at_infinity_is_one(d1, d2):
-    got = f_cdf(d1, d2, math.inf)
-    assert got == 1.0 and isinstance(got, float)
-    vals = f_cdf(d1, d2, np.array([0.0, 1.0, math.inf]))
-    assert vals[0] == 0.0 and vals[2] == 1.0
+    # d1 x past the float range reads as 1 too, with no overflow warning
+    for x in (math.inf, 1.7e308):
+        got = f_cdf(d1, d2, x)
+        assert got == 1.0 and isinstance(got, float)
+    vals = f_cdf(d1, d2, np.array([0.0, 1.0, 1.7e308, math.inf]))
+    assert vals[0] == 0.0 and vals[2] == vals[3] == 1.0
     assert vals[1] == f_cdf(d1, d2, 1.0)
 
 
@@ -500,6 +508,14 @@ def test_f_quantile_cdf_evaluations(monkeypatch):
     assert max(round_trip) <= 12
 
 
+def test_f_quantile_nonconvergence(monkeypatch):
+    # a CDF stuck at 0.5 never meets prob 0.3: the search walks x to 0 and gives up
+    monkeypatch.setattr(distributions, "f_cdf", lambda d1, d2, x: 0.5)
+    with np.errstate(divide="ignore"), \
+            pytest.raises(distributions.NonConvergence, match="F quantile did not converge"):
+        f_quantile(4, 6, 0.3)
+
+
 # --- Erlang CDF and KS helpers --------------------------------------------------
 
 def test_erlang_against_scipy():
@@ -527,6 +543,15 @@ def test_erlang_scalar_is_an_array_element():
             assert erlang_cdf(shape, 1.0 / shape, np.array(x)) == vec[i], (shape, x)
 
 
+@pytest.mark.parametrize("shape", [1, 20, 1000])
+def test_erlang_is_one_past_the_float_range(shape):
+    # where x/scale overflows, y = inf would put inf - inf in the running log
+    for x in (math.inf, 1.7e308):
+        assert erlang_cdf(shape, 0.05, x) == 1.0
+    got = erlang_cdf(shape, 0.05, np.array([0.0, 1.0, 1.7e308, math.inf]))
+    assert got.tolist() == [0.0, erlang_cdf(shape, 0.05, 1.0), 1.0, 1.0]
+
+
 def test_erlang_validation():
     with pytest.raises(ValueError):
         erlang_cdf(0, 1.0, 1.0)
@@ -538,6 +563,11 @@ def test_ks_statistic_uniform_sample():
     u = SeededStream(9, 9).uniforms(50_000)
     d = ks_statistic(u, lambda x: np.clip(x, 0.0, 1.0))
     assert d < ks_critical_value(50_000, 0.01)
+
+
+def test_ks_statistic_rejects_an_empty_sample():
+    with pytest.raises(ValueError, match="empty sample"):
+        ks_statistic(np.array([]), lambda x: x)
 
 
 def test_ks_critical_value():
